@@ -17,8 +17,8 @@ BenchmarkILPSolveSmall/threads=1-4         	       3	   2000000 ns/op	       716
 BenchmarkILPSolveSmall/threads=1-4         	       3	   2200000 ns/op	       716.0 bnb-nodes	      2307 simplex-iters
 BenchmarkILPSolveSmall/threads=4-4         	       3	   1000000 ns/op	       716.0 bnb-nodes	      2307 simplex-iters
 BenchmarkFigure9UnrollBound-4              	     100	     50000 ns/op
-BenchmarkSimReplay/NetCache/engine=plan-4  	     435	   2600000 ns/op	   1575000 pkts/sec	       0 B/op	       0 allocs/op
-BenchmarkSimReplay/NetCache/engine=plan-4  	     435	   2700000 ns/op	   1520000 pkts/sec	       0 B/op	       0 allocs/op
+BenchmarkSimReplay/NetCache/engine=vm-4    	     435	   2600000 ns/op	   1575000 pkts/sec	       0 B/op	       0 allocs/op
+BenchmarkSimReplay/NetCache/engine=vm-4    	     435	   2700000 ns/op	   1520000 pkts/sec	       0 B/op	       0 allocs/op
 BenchmarkSimReplay/NetCache/engine=interp-4	      12	  95000000 ns/op	     43000 pkts/sec	27769712 B/op	  864890 allocs/op
 PASS
 ok  	p4all/internal/ilp	0.144s
@@ -41,8 +41,8 @@ func TestParseBenchNormalizesAndCollects(t *testing.T) {
 		t.Fatalf("figure benchmark missing: %v", samples)
 	}
 	// allocs/op collected only for -benchmem lines; reps preserved.
-	if reps, ok := allocs["BenchmarkSimReplay/NetCache/engine=plan"]; !ok || len(reps) != 2 || reps[0] != 0 {
-		t.Fatalf("plan allocs = %v, want two zero reps", reps)
+	if reps, ok := allocs["BenchmarkSimReplay/NetCache/engine=vm"]; !ok || len(reps) != 2 || reps[0] != 0 {
+		t.Fatalf("vm allocs = %v, want two zero reps", reps)
 	}
 	if reps := allocs["BenchmarkSimReplay/NetCache/engine=interp"]; len(reps) != 1 || reps[0] != 864890 {
 		t.Fatalf("interp allocs = %v", reps)
@@ -61,22 +61,22 @@ func TestSummarizeMaxTakesWorstRep(t *testing.T) {
 
 func TestCompareAllocsFlagsOnlyGatedIncreases(t *testing.T) {
 	base := map[string]float64{
-		"BenchmarkSimReplay/NetCache/engine=plan":   0,
+		"BenchmarkSimReplay/NetCache/engine=vm":     0,
 		"BenchmarkSimReplay/NetCache/engine=interp": 864890,
-		"BenchmarkSimReplay/Precision/engine=plan":  0,
+		"BenchmarkSimReplay/Precision/engine=vm":    0,
 	}
 	fresh := map[string]float64{
-		"BenchmarkSimReplay/NetCache/engine=plan":   2,       // regression
+		"BenchmarkSimReplay/NetCache/engine=vm":     2,       // regression
 		"BenchmarkSimReplay/NetCache/engine=interp": 9999999, // ungated
-		"BenchmarkSimReplay/Precision/engine=plan":  0,       // fine
+		"BenchmarkSimReplay/Precision/engine=vm":    0,       // fine
 	}
-	gate := regexp.MustCompile(`^BenchmarkSimReplay/.*engine=plan`)
+	gate := regexp.MustCompile(`^BenchmarkSimReplay/.*engine=vm`)
 	var buf strings.Builder
 	checked, regressed := compareAllocs(&buf, base, fresh, gate, 0.10)
 	if checked != 2 || regressed != 1 {
 		t.Fatalf("checked=%d regressed=%d, want 2/1", checked, regressed)
 	}
-	if !strings.Contains(buf.String(), "NetCache/engine=plan") {
+	if !strings.Contains(buf.String(), "NetCache/engine=vm") {
 		t.Fatalf("violation not named:\n%s", buf.String())
 	}
 	if strings.Contains(buf.String(), "interp") {
@@ -147,23 +147,23 @@ func TestCompareGatesOnlyMatchingBenchmarks(t *testing.T) {
 
 func TestCompareVMRatioPairsWithinRun(t *testing.T) {
 	fresh := map[string]float64{
-		"BenchmarkSimReplayVM/NetCache":             1000, // 3.0x plan: ok
-		"BenchmarkSimReplay/NetCache/engine=plan":   3000,
-		"BenchmarkSimReplayVM/Precision":            2500, // 1.2x plan: too slow
-		"BenchmarkSimReplay/Precision/engine=plan":  3000,
-		"BenchmarkSimReplayVM/ConQuest":             1000, // no plan pair in run
-		"BenchmarkSimReplay/ConQuest/engine=interp": 90000,
+		"BenchmarkSimReplay/NetCache/engine=vm":      1000, // 30x interp: ok
+		"BenchmarkSimReplay/NetCache/engine=interp":  30000,
+		"BenchmarkSimReplay/Precision/engine=vm":     2500, // 4x interp: too slow
+		"BenchmarkSimReplay/Precision/engine=interp": 10000,
+		"BenchmarkSimReplay/ConQuest/engine=vm":      1000, // no interp pair in run
+		"BenchmarkSimProcess/ConQuest/engine=interp": 90000,
 	}
 	var buf strings.Builder
-	checked, failed := compareVMRatio(&buf, fresh, 1.5)
+	checked, failed := compareVMRatio(&buf, fresh, 10)
 	if checked != 2 || failed != 1 {
 		t.Fatalf("checked=%d failed=%d, want 2/1:\n%s", checked, failed, buf.String())
 	}
 	out := buf.String()
-	if !strings.Contains(out, "VM RATIO FAIL BenchmarkSimReplayVM/Precision") {
+	if !strings.Contains(out, "VM RATIO FAIL BenchmarkSimReplay/Precision/engine=vm") {
 		t.Fatalf("slow pair not flagged:\n%s", out)
 	}
-	if !strings.Contains(out, "BenchmarkSimReplayVM/ConQuest") || strings.Contains(out, "FAIL BenchmarkSimReplayVM/ConQuest") {
+	if !strings.Contains(out, "BenchmarkSimReplay/ConQuest/engine=vm") || strings.Contains(out, "FAIL BenchmarkSimReplay/ConQuest") {
 		t.Fatalf("half pair should be reported but not failed:\n%s", out)
 	}
 }
@@ -237,7 +237,7 @@ func TestReadBaselineRejectsDegenerateFiles(t *testing.T) {
 
 func TestReadBaselineAcceptsValidFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
-	content := `{"ns_per_op": {"BenchmarkILPSolve/x": 1200.5}, "allocs_per_op": {"BenchmarkSimReplay/x/engine=plan": 0}}`
+	content := `{"ns_per_op": {"BenchmarkILPSolve/x": 1200.5}, "allocs_per_op": {"BenchmarkSimReplay/x/engine=vm": 0}}`
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestReadBaselineAcceptsValidFile(t *testing.T) {
 	if base.NsPerOp["BenchmarkILPSolve/x"] != 1200.5 {
 		t.Errorf("unexpected baseline contents: %v", base.NsPerOp)
 	}
-	if v, ok := base.AllocsPerOp["BenchmarkSimReplay/x/engine=plan"]; !ok || v != 0 {
+	if v, ok := base.AllocsPerOp["BenchmarkSimReplay/x/engine=vm"]; !ok || v != 0 {
 		t.Errorf("zero allocs/op baseline entry not preserved: %v", base.AllocsPerOp)
 	}
 }

@@ -34,7 +34,7 @@ func main() {
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: all four)")
 	budgetsFlag := flag.String("budgets", "", "comma-separated per-stage memory budgets in bits (default: 524288,1048576,2097152)")
 	oraclesFlag := flag.String("oracles", "", "comma-separated oracle subset: layout,golden,snapshot,engine,certify,migrate,tenant (default: all)")
-	engine := flag.String("engine", "", "sim engine the replay oracles use: plan, interp, or vm (default plan)")
+	engine := flag.String("engine", "", "sim engine the replay oracles use: vm or interp (default vm)")
 	shrink := flag.Bool("shrink", true, "minimize failing streams before reporting")
 	failuresPath := flag.String("failures", "", "also write failure reports (with minimized repros) to this file")
 	quiet := flag.Bool("q", false, "suppress progress lines")
@@ -86,7 +86,7 @@ func main() {
 func writeFailures(path string, rep *difftest.Report, seed int64, engine string) error {
 	var b strings.Builder
 	if engine == "" {
-		engine = "plan"
+		engine = "vm"
 	}
 	fmt.Fprintf(&b, "difftest failures: engine=%s seed=%d checks=%d\n\n", engine, seed, rep.Checks)
 	for _, f := range rep.Failures {

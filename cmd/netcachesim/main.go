@@ -11,7 +11,7 @@
 //
 // With -simreplay N it compiles NetCache, replays N Zipf packets
 // through the behavioral pipeline on the engine chosen by -engine
-// (plan, interp, or vm), and reports packets/sec plus the pipeline's
+// (vm or interp), and reports packets/sec plus the pipeline's
 // resource counters — a quick way to bisect a throughput regression
 // to the execution engine (see docs/SIM_PERF.md). Adding -shards M
 // replays through the sharded serving runtime (M flow-hashed
@@ -51,7 +51,7 @@ func main() {
 		trace    = flag.String("trace", "", "write a JSONL trace of the shape compile and simulation to this file")
 		summary  = flag.Bool("summary", false, "print an observability summary table to stderr")
 		drift    = flag.Bool("drift", false, "run the workload-drift experiment (frozen vs elastic controller)")
-		engine   = flag.String("engine", "plan", "sim execution engine: plan, interp, or vm")
+		engine   = flag.String("engine", "vm", "sim execution engine: vm or interp")
 		replayN  = flag.Int("simreplay", 0, "replay N packets through the behavioral pipeline and report packets/sec (0: off)")
 		shards   = flag.Int("shards", 1, "with -simreplay: replay through the sharded serving runtime with this many shards")
 	)
@@ -133,6 +133,14 @@ func main() {
 		p.CMSRows, p.CMSCols, int64(p.CMSRows*p.CMSCols)*32, p.KVSlots, int64(p.KVSlots)*64, p.HitRate, *requests)
 }
 
+// warnFallback reports on stderr when VM lowering fell back to the
+// interpreter, which runs 30-40x slower.
+func warnFallback(p *sim.Pipeline) {
+	if ferr := p.Fallback(); ferr != nil {
+		fmt.Fprintln(os.Stderr, "vm lowering fell back to the interpreter:", ferr)
+	}
+}
+
 // runSimReplay compiles NetCache and pushes a Zipf stream through the
 // behavioral pipeline on the requested engine, reporting throughput
 // and the pipeline's resource counters. With shards > 1 the stream
@@ -163,6 +171,7 @@ func runSimReplay(engine string, mem, keys, n, shards int, zipf float64, seed in
 		if err != nil {
 			return err
 		}
+		warnFallback(rt.Pipelines()[0])
 		start := time.Now()
 		if err := rt.DispatchAll(pkts); err != nil {
 			return err
@@ -191,11 +200,7 @@ func runSimReplay(engine string, mem, keys, n, shards int, zipf float64, seed in
 	if err != nil {
 		return err
 	}
-	if eng == sim.EnginePlan {
-		if ferr := pipe.PlanFallback(); ferr != nil {
-			fmt.Fprintln(os.Stderr, "plan compiler fell back to the interpreter:", ferr)
-		}
-	}
+	warnFallback(pipe)
 	start := time.Now()
 	if err := pipe.Replay(pkts, nil); err != nil {
 		return err

@@ -12,11 +12,10 @@
 //     shared hash contract makes the comparison exact);
 //  3. snapshot round-trip — Snapshot/Restore at arbitrary stream
 //     prefixes must not perturb subsequent outputs;
-//  4. engine equivalence — the compiled closure plan and the bytecode
-//     VM (exercised through its batched replay path) must both match
-//     the reference AST interpreter's outputs, register end-state, and
-//     Stats counters for every packet, with compiler fallbacks on the
-//     suite treated as failures;
+//  4. engine equivalence — the bytecode VM, per packet and through its
+//     batched replay path, must match the reference AST interpreter's
+//     outputs, register end-state, and Stats counters for every packet,
+//     with a VM lowering fallback treated as a failure;
 //  5. migration soundness — elastic CMS state migration never
 //     underestimates relative to a fresh sketch fed the same suffix;
 //  6. translation validation — every compiled layout must certify:
@@ -190,9 +189,9 @@ type Config struct {
 	Apps []string
 	// Oracles filters the oracle set; empty runs all six.
 	Oracles []string
-	// Engine selects the sim execution engine ("plan", "interp", or
-	// "vm") the golden, snapshot, and layout oracles replay with. Empty
-	// means "plan". The engine oracle always runs all three regardless.
+	// Engine selects the sim execution engine ("vm" or "interp") the
+	// golden, snapshot, and layout oracles replay with. Empty means
+	// "vm". The engine oracle always runs both regardless.
 	Engine string
 	// LayoutVariants caps how many (app, budget) pairs run the
 	// expensive layout-invariance oracle (each costs three extra ILP
@@ -271,7 +270,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.EnginePlan
+	eng := sim.EngineVM
 	if cfg.Engine != "" {
 		if eng, err = sim.ParseEngine(cfg.Engine); err != nil {
 			return nil, fmt.Errorf("difftest: %w", err)

@@ -5,13 +5,13 @@ import (
 )
 
 // TestEngineEquivalenceAllApps runs the engine oracle directly over a
-// long generated stream for every suite app: the interpreter, the
-// compiled plan, and the bytecode VM (via its batched replay) must
-// agree on outputs, register end-state, and Stats — and neither
-// compiled engine may have fallen back for any of them.
+// long generated stream for every app in the engine pool (the suite
+// plus FlowRadar): the interpreter and the bytecode VM, per packet and
+// batched, must agree on outputs, register end-state, and Stats — and
+// the VM may not have fallen back for any of them.
 func TestEngineEquivalenceAllApps(t *testing.T) {
 	compiled := fuzzCompileAll(t)
-	for _, spec := range Specs() {
+	for _, spec := range engineSpecs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			res := compiled[spec.Name]

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"p4all/internal/apps"
 	"p4all/internal/core"
 	"p4all/internal/elastic"
 	"p4all/internal/pisa"
@@ -24,9 +25,9 @@ var fuzzCompiles struct {
 	byApp map[string]*core.Result
 }
 
-// fuzzCompileAll compiles the whole suite (cached process-wide so the
-// fuzz targets — and the engine equivalence test — share one set of
-// solves in plain `go test` mode).
+// fuzzCompileAll compiles the whole engine pool (cached process-wide
+// so the fuzz targets — and the engine equivalence test — share one set
+// of solves in plain `go test` mode).
 func fuzzCompileAll(f testing.TB) map[string]*core.Result {
 	f.Helper()
 	fuzzCompiles.Lock()
@@ -34,7 +35,7 @@ func fuzzCompileAll(f testing.TB) map[string]*core.Result {
 	if fuzzCompiles.byApp == nil {
 		fuzzCompiles.byApp = make(map[string]*core.Result)
 	}
-	for _, spec := range Specs() {
+	for _, spec := range engineSpecs() {
 		if _, ok := fuzzCompiles.byApp[spec.Name]; ok {
 			continue
 		}
@@ -78,11 +79,30 @@ func fuzzSpec(appIdx byte) AppSpec {
 	return specs[int(appIdx)%len(specs)]
 }
 
+// flowradarSpec is FlowRadar as an engine-oracle subject. It has no
+// golden model, so its pipelines start from zeroed registers.
+func flowradarSpec() AppSpec {
+	return AppSpec{
+		Name:   "FlowRadar",
+		Source: apps.FlowRadar().Source,
+		Fields: []FieldSpec{
+			{Name: "pkt.flow", Width: 32, Key: true},
+			{Name: "pkt.len", Width: 16},
+		},
+	}
+}
+
+// engineSpecs is the engine oracle's program pool: the suite plus
+// FlowRadar, whose Bloom filter and counting table exercise the VM's
+// computed-index register stores and slot-addend read-modify-writes.
+func engineSpecs() []AppSpec {
+	return append(Specs(), flowradarSpec())
+}
+
 // FuzzSimVsGolden replays arbitrary byte-derived streams against the
 // golden models (oracle 2 under coverage guidance), and cross-checks
-// all three execution engines against each other on the same stream
-// (oracle 4), so every corpus entry also fuzzes the plan compiler and
-// the VM lowering.
+// the VM against the interpreter on the same stream (oracle 4), so
+// every corpus entry also fuzzes the VM lowering.
 func FuzzSimVsGolden(f *testing.F) {
 	compiled := fuzzCompileAll(f)
 	f.Add(byte(0), []byte("netcache-seed"))
@@ -93,7 +113,7 @@ func FuzzSimVsGolden(f *testing.F) {
 		spec := fuzzSpec(appIdx)
 		res := compiled[spec.Name]
 		stream := streamFromBytes(spec, data)
-		div, err := replayGolden(spec, res, sim.EnginePlan, stream, int64(appIdx))
+		div, err := replayGolden(spec, res, sim.EngineVM, stream, int64(appIdx))
 		if err != nil {
 			t.Fatalf("%s: replay error: %v", spec.Name, err)
 		}
@@ -113,68 +133,35 @@ func FuzzSimVsGolden(f *testing.F) {
 	})
 }
 
-// FuzzVMVsPlan cross-checks the two compiled engines directly: the
-// bytecode VM's batched struct-of-arrays replay against the closure
-// plan's per-packet execution, on byte-derived streams with dense key
-// collisions. Skipping the interpreter keeps each input cheap, so
-// coverage guidance explores the VM's segment boundaries (partial
-// batches, guard jumps across serial/vector splits) much faster than
-// the three-way oracle can. Outputs, register end-state, and Stats
-// must all agree; a fallback on either engine fails.
-func FuzzVMVsPlan(f *testing.F) {
+// FuzzVMVsInterp is the engine oracle alone (oracle 4) over a pool
+// that adds FlowRadar to the suite: the bytecode VM, per packet and in
+// struct-of-arrays batches, against the reference interpreter, on
+// byte-derived streams with dense key collisions. Skipping the golden
+// models keeps each input cheap, so coverage guidance explores the VM's
+// segment boundaries (partial batches, guard jumps across serial/vector
+// splits, same-cell register hazards) faster than FuzzSimVsGolden can.
+// Outputs, register end-state, and Stats must all agree; a fallback
+// fails.
+func FuzzVMVsInterp(f *testing.F) {
 	compiled := fuzzCompileAll(f)
 	f.Add(byte(0), []byte("vm-netcache-seed"))
 	f.Add(byte(1), []byte("vm-sketchlearn-seed"))
 	f.Add(byte(2), []byte("\x00\x01\x02\x03\xfe\xff"))
 	f.Add(byte(3), []byte("vm-conquest-seed"))
+	f.Add(byte(4), []byte("\x07\x07\x07\x07\x01\x07\x02\x07"))
 	f.Fuzz(func(t *testing.T, appIdx byte, data []byte) {
-		spec := fuzzSpec(appIdx)
-		res := compiled[spec.Name]
+		specs := engineSpecs()
+		spec := specs[int(appIdx)%len(specs)]
 		stream := streamFromBytes(spec, data)
-		planned, err := newPipeline(res, sim.EnginePlan)
+		div, detail, err := replayEngines(spec, compiled[spec.Name], stream, int64(appIdx))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: engine replay error: %v", spec.Name, err)
 		}
-		vmpipe, err := newPipeline(res, sim.EngineVM)
-		if err != nil {
-			t.Fatal(err)
+		if div != nil {
+			t.Fatalf("%s: vm diverged from interp: %s\n%s", spec.Name, div, formatStream(stream))
 		}
-		if ferr := planned.Fallback(); ferr != nil {
-			t.Fatalf("%s: plan fell back: %v", spec.Name, ferr)
-		}
-		if ferr := vmpipe.Fallback(); ferr != nil {
-			t.Fatalf("%s: vm fell back: %v", spec.Name, ferr)
-		}
-		golden, err := spec.NewGolden(res.Layout, int64(appIdx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := golden.SeedRegisters(planned); err != nil {
-			t.Fatal(err)
-		}
-		if err := golden.SeedRegisters(vmpipe); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]map[string]uint64, len(stream))
-		for i, pkt := range stream {
-			if want[i], err = planned.Process(pkt); err != nil {
-				t.Fatalf("%s: plan packet %d: %v", spec.Name, i, err)
-			}
-		}
-		err = vmpipe.Replay(stream, func(i int, v sim.View) error {
-			if d := diffOutputs(i, want[i], v.Map()); d != nil {
-				t.Fatalf("%s: vm diverged from plan: %s\n%s", spec.Name, d, formatStream(stream))
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: vm replay: %v", spec.Name, err)
-		}
-		if d := diffSnapshots(planned.Snapshot(), vmpipe.Snapshot()); d != "" {
-			t.Fatalf("%s: register end-state: %s\n%s", spec.Name, d, formatStream(stream))
-		}
-		if d := diffStats(planned.Stats(), vmpipe.Stats()); d != "" {
-			t.Fatalf("%s: stats: %s\n%s", spec.Name, d, formatStream(stream))
+		if detail != "" {
+			t.Fatalf("%s: engine oracle: %s\n%s", spec.Name, detail, formatStream(stream))
 		}
 	})
 }
@@ -198,7 +185,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if cut == 0 {
 			return
 		}
-		div, err := replaySnapshot(spec, res, sim.EnginePlan, stream, cut, int64(appIdx))
+		div, err := replaySnapshot(spec, res, sim.EngineVM, stream, cut, int64(appIdx))
 		if err != nil {
 			t.Fatalf("%s: replay error: %v", spec.Name, err)
 		}

@@ -377,42 +377,41 @@ func diffSnapshots(a, b *sim.Snapshot) string {
 // divergence — the rest of the stream can't add information.
 var errEngineDiverged = errors.New("difftest: engine diverged")
 
-// replayEngines runs the same stream through all three engines: the
-// reference AST interpreter (per-packet Process), the compiled closure
-// plan (per-packet Process), and the bytecode VM (batched Replay — the
-// production path, so struct-of-arrays batch execution sits under the
-// oracle too). Beyond per-packet outputs, the final register state and
-// every Stats counter must agree across the trio — the compiled
-// engines' cost model is part of their contract. A compiler fallback
-// on either compiled engine is itself a failure (detail non-empty):
-// the suite's apps are all expected to lower.
+// replayEngines runs the same stream through the reference AST
+// interpreter (per-packet Process) and the bytecode VM twice: per-packet
+// Process, and batched Replay — the production path, so the
+// struct-of-arrays batch execution sits under the oracle too. Beyond
+// per-packet outputs, the final register state and every Stats counter
+// must agree — the VM's cost model is part of its contract. A VM
+// fallback is itself a failure (detail non-empty): every in-repo
+// program is expected to lower. Specs without a golden model start
+// from zeroed registers.
 func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int64) (*divergence, string, error) {
 	interp, err := newPipeline(res, sim.EngineInterp)
 	if err != nil {
 		return nil, "", err
 	}
-	planned, err := newPipeline(res, sim.EnginePlan)
+	vmProc, err := newPipeline(res, sim.EngineVM)
 	if err != nil {
 		return nil, "", err
 	}
-	vmpipe, err := newPipeline(res, sim.EngineVM)
+	vmBatch, err := newPipeline(res, sim.EngineVM)
 	if err != nil {
 		return nil, "", err
 	}
-	if ferr := planned.Fallback(); ferr != nil {
-		return nil, "plan compiler fell back to the interpreter: " + ferr.Error(), nil
-	}
-	if ferr := vmpipe.Fallback(); ferr != nil {
+	if ferr := vmProc.Fallback(); ferr != nil {
 		return nil, "vm lowering fell back to the interpreter: " + ferr.Error(), nil
 	}
-	// One golden seeds every pipeline with identical preconditions.
-	golden, err := spec.NewGolden(res.Layout, seed)
-	if err != nil {
-		return nil, "", err
-	}
-	for _, pipe := range []*sim.Pipeline{interp, planned, vmpipe} {
-		if err := golden.SeedRegisters(pipe); err != nil {
+	if spec.NewGolden != nil {
+		// One golden seeds every pipeline with identical preconditions.
+		golden, err := spec.NewGolden(res.Layout, seed)
+		if err != nil {
 			return nil, "", err
+		}
+		for _, pipe := range []*sim.Pipeline{interp, vmProc, vmBatch} {
+			if err := golden.SeedRegisters(pipe); err != nil {
+				return nil, "", err
+			}
 		}
 	}
 	want := make([]map[string]uint64, 0, len(stream))
@@ -422,26 +421,26 @@ func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int
 			return nil, "", fmt.Errorf("interp packet %d: %w", i, err)
 		}
 		want = append(want, w)
-		got, err := planned.Process(pkt)
+		got, err := vmProc.Process(pkt)
 		if err != nil {
-			return nil, "", fmt.Errorf("plan packet %d: %w", i, err)
+			return nil, "", fmt.Errorf("vm packet %d: %w", i, err)
 		}
 		if d := diffOutputs(i, w, got); d != nil {
-			d.engine = "plan"
+			d.engine = "vm"
 			return d, "", nil
 		}
 	}
-	var vdiv *divergence
-	err = vmpipe.Replay(stream, func(i int, v sim.View) error {
+	var bdiv *divergence
+	err = vmBatch.Replay(stream, func(i int, v sim.View) error {
 		if d := diffOutputs(i, want[i], v.Map()); d != nil {
-			d.engine = "vm"
-			vdiv = d
+			d.engine = "vm batch"
+			bdiv = d
 			return errEngineDiverged
 		}
 		return nil
 	})
-	if vdiv != nil {
-		return vdiv, "", nil
+	if bdiv != nil {
+		return bdiv, "", nil
 	}
 	if err != nil {
 		return nil, "", fmt.Errorf("vm replay: %w", err)
@@ -450,7 +449,7 @@ func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int
 	for _, eng := range []struct {
 		name string
 		pipe *sim.Pipeline
-	}{{"plan", planned}, {"vm", vmpipe}} {
+	}{{"vm", vmProc}, {"vm batch", vmBatch}} {
 		if d := diffSnapshots(ir, eng.pipe.Snapshot()); d != "" {
 			return nil, eng.name + " register end-state: " + d, nil
 		}

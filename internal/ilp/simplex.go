@@ -820,9 +820,6 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 				}
 			}
 		}
-		if debugTrace && s.iters%5000 == 0 {
-			fmt.Printf("[simplex] iter=%d obj=%.6f stall=%d bland=%v banned=%d\n", s.iters, s.objValue(), stall, bland, len(banned))
-		}
 		// Degeneracy bookkeeping.
 		obj := s.objValue()
 		if obj < lastObj-1e-9 {
@@ -1118,12 +1115,6 @@ func (s *simplex) pivotBinv(r int, w []float64) {
 // debugChecks enables expensive internal invariant checks (set by
 // tests via the ilpdebug build hook).
 var debugChecks = false
-
-// debugTrace prints periodic simplex progress lines (tests only).
-var debugTrace = false
-
-// SetDebugTrace toggles simplex progress tracing.
-func SetDebugTrace(on bool) { debugTrace = on }
 
 // SetDebugChecks toggles internal solver invariant checks (tests only).
 func SetDebugChecks(on bool) { debugChecks = on }

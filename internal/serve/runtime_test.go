@@ -151,7 +151,7 @@ func TestRuntimeRejectsBadConfig(t *testing.T) {
 }
 
 // TestSimRuntimeEngineParity is the difftest engine oracle run against
-// the sharded runtime: the plan and interpreter engines, sharded
+// the sharded runtime: the VM and the interpreter, sharded
 // identically, must produce bit-identical per-packet outputs.
 func TestSimRuntimeEngineParity(t *testing.T) {
 	unit, layout := compiledNetCache(t)
@@ -187,15 +187,15 @@ func TestSimRuntimeEngineParity(t *testing.T) {
 		return out
 	}
 
-	plan := capture(sim.EnginePlan)
+	vm := capture(sim.EngineVM)
 	interp := capture(sim.EngineInterp)
 	for s := 0; s < 2; s++ {
-		if len(plan[s]) != len(interp[s]) {
-			t.Fatalf("shard %d: plan saw %d packets, interp %d", s, len(plan[s]), len(interp[s]))
+		if len(vm[s]) != len(interp[s]) {
+			t.Fatalf("shard %d: vm saw %d packets, interp %d", s, len(vm[s]), len(interp[s]))
 		}
-		for i := range plan[s] {
-			if plan[s][i] != interp[s][i] {
-				t.Fatalf("shard %d packet %d: plan %v != interp %v", s, i, plan[s][i], interp[s][i])
+		for i := range vm[s] {
+			if vm[s][i] != interp[s][i] {
+				t.Fatalf("shard %d packet %d: vm %v != interp %v", s, i, vm[s][i], interp[s][i])
 			}
 		}
 	}

@@ -25,8 +25,8 @@
 // per-lane behavior is the scalar behavior; cross-lane ordering only
 // matters inside serial segments, where it is sequential. Stats
 // accumulate per-stage in the frame and are order-free. Lowered
-// programs cannot abort (lower.go rejects runtime divisors), so there
-// is no abort-ordering divergence to reconcile.
+// programs cannot abort (lower.go rejects every construct that could),
+// so there is no abort-ordering divergence to reconcile.
 
 package sim
 
@@ -70,7 +70,7 @@ func segmentize(pr *vmProg) []vmSeg {
 	// hazardous; every instruction touching one joins its interval.
 	written := make(map[int32]bool)
 	for i := range pr.code {
-		if pr.code[i].op == opRegBumpSlot {
+		if pr.code[i].writesReg() {
 			written[pr.code[i].regID] = true
 		}
 	}
@@ -134,6 +134,7 @@ func (pl *vmProg) runBatch(fr *vmFrame, pkts []Packet) {
 	lanes := len(pkts)
 	fr.lanes = lanes
 	fr.gen++
+	pl.preload(fr)
 	pl.p.stats.Packets += uint64(lanes)
 	for l := 0; l < lanes; l++ {
 		fr.extraK[l] = fr.extraK[l][:0]
@@ -293,6 +294,11 @@ func (pl *vmProg) execVec(fr *vmFrame, start, end int32) {
 						fr.next[l] = in.target
 					}
 				}
+			case opBinSlot:
+				for l := 0; l < lanes; l++ {
+					dv[l] = vmBin(in.kind, fr.ld(in.a, l), fr.ld(in.b, l)) & in.dmask
+					ds[l] = gen
+				}
 			}
 			continue
 		}
@@ -398,9 +404,9 @@ func (pl *vmProg) execVec(fr *vmFrame, start, end int32) {
 				}
 			}
 		default:
-			// opRegBumpSlot writes a register, so segmentation always
-			// places it in a serial segment; dispatch through the
-			// scalar core defensively should it ever appear here.
+			// The generic opcodes run through the scalar core per
+			// lane. Register writes only get here defensively:
+			// segmentation always places them in serial segments.
 			for l := 0; l < lanes; l++ {
 				if fr.next[l] != pc {
 					continue

@@ -1,5 +1,4 @@
-// Engine selection and the batched replay API over the compiled
-// engines (closure plan and bytecode VM).
+// Engine selection and the batched replay API.
 
 package sim
 
@@ -12,76 +11,51 @@ import (
 type Engine uint8
 
 const (
-	// EnginePlan (the default) compiles the layout into a flat closure
-	// plan at construction time; programs the plan compiler cannot
-	// lower fall back to the interpreter (see Pipeline.Fallback).
-	EnginePlan Engine = iota
+	// EngineVM (the default) lowers the layout to a bytecode program
+	// executed by a switch-dispatch VM, with struct-of-arrays batched
+	// replay (see vm.go); programs the lowering cannot compile fall back
+	// to the interpreter (see Pipeline.Fallback).
+	EngineVM Engine = iota
 	// EngineInterp forces the reference AST interpreter.
 	EngineInterp
-	// EngineVM lowers the layout to a bytecode program executed by a
-	// switch-dispatch VM, with struct-of-arrays batched replay (see
-	// vm.go); programs the lowering cannot compile fall back to the
-	// interpreter.
-	EngineVM
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineInterp:
+	if e == EngineInterp {
 		return "interp"
-	case EngineVM:
-		return "vm"
 	}
-	return "plan"
+	return "vm"
 }
 
 // ParseEngine maps the CLI spelling of an engine to its value.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "plan":
-		return EnginePlan, nil
-	case "interp":
-		return EngineInterp, nil
 	case "vm":
 		return EngineVM, nil
+	case "interp":
+		return EngineInterp, nil
 	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want plan, interp, or vm)", s)
+	return 0, fmt.Errorf("sim: unknown engine %q (want vm or interp)", s)
 }
 
 // EngineName reports which engine actually executes this pipeline:
-// "plan", "vm", or "interp" (requested, or fallen back to).
+// "vm", or "interp" (requested, or fallen back to).
 func (p *Pipeline) EngineName() string {
 	if p.vm != nil {
 		return "vm"
 	}
-	if p.plan != nil {
-		return "plan"
-	}
 	return "interp"
 }
 
-// Fallback returns why a compiled engine (plan or VM) fell back to the
-// interpreter; nil when the requested engine is active or the
-// interpreter was requested explicitly.
-func (p *Pipeline) Fallback() error {
-	if p.planErr != nil {
-		return p.planErr
-	}
-	return p.vmErr
-}
-
-// PlanFallback is kept for callers that predate the VM engine; it
-// reports any compiled engine's fallback reason, as Fallback does.
-func (p *Pipeline) PlanFallback() error { return p.Fallback() }
+// Fallback returns why VM lowering fell back to the interpreter; nil
+// when the VM is active or the interpreter was requested explicitly.
+func (p *Pipeline) Fallback() error { return p.vmErr }
 
 // View is a read-only view of one processed packet's output fields.
-// Inside a Replay sink on the plan engine it reads straight from the
-// reused slot frame — no allocation — and is only valid until the sink
-// returns; do not retain it. On the VM engine it reads one lane of the
-// reused batch frame, with the same lifetime rule.
+// Inside a Replay sink on the VM it reads one lane of the reused batch
+// frame — no allocation — and is only valid until the sink returns; do
+// not retain it.
 type View struct {
-	pl   *plan
-	fr   *frame
 	vm   *vmProg
 	vf   *vmFrame
 	lane int
@@ -105,19 +79,8 @@ func (v View) Get(name string) (uint64, bool) {
 		}
 		return 0, false
 	}
-	if v.pl == nil {
-		val, ok := v.m[name]
-		return val, ok
-	}
-	if sr, ok := v.pl.fieldSlot[name]; ok && v.fr.stamp[sr.slot] == v.fr.gen {
-		return v.fr.vals[sr.slot], true
-	}
-	for i, k := range v.fr.extraK {
-		if k == name {
-			return v.fr.extraV[i], true
-		}
-	}
-	return 0, false
+	val, ok := v.m[name]
+	return val, ok
 }
 
 // Map materializes the view as the map Process would have returned
@@ -126,22 +89,18 @@ func (v View) Map() map[string]uint64 {
 	if v.vm != nil {
 		return v.vm.output(v.vf, v.lane)
 	}
-	if v.pl == nil {
-		return v.m
-	}
-	return v.pl.output(v.fr)
+	return v.m
 }
 
 // Replay pushes pkts through the pipeline in order, handing each
-// packet's outputs to sink (nil to discard). On the compiled engines
-// the frame and View are reused across packets, so a steady-state
-// replay performs zero allocations. The VM engine additionally runs
-// packets in struct-of-arrays batches of up to vmLanes: sinks still
-// fire per packet, in order, after the packet's batch executes — a
-// sink reading register state through the pipeline observes it as of
-// the end of that batch. A processing error aborts the replay with the
-// packet index attached; an error from sink aborts it and is returned
-// unwrapped.
+// packet's outputs to sink (nil to discard). On the VM the frame and
+// View are reused across packets, so a steady-state replay performs
+// zero allocations. The VM runs packets in struct-of-arrays batches of
+// up to vmLanes: sinks still fire per packet, in order, after the
+// packet's batch executes — a sink reading register state through the
+// pipeline observes it as of the end of that batch. A processing error
+// (interpreter only) aborts the replay with the packet index attached;
+// an error from sink aborts it and is returned unwrapped.
 func (p *Pipeline) Replay(pkts []Packet, sink func(i int, v View) error) error {
 	if p.vm != nil {
 		v := View{vm: p.vm, vf: &p.vmf}
@@ -157,20 +116,6 @@ func (p *Pipeline) Replay(pkts []Packet, sink func(i int, v View) error) error {
 			for l := 0; l < end-off; l++ {
 				v.lane = l
 				if err := sink(off+l, v); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if p.plan != nil {
-		v := View{pl: p.plan, fr: &p.fr}
-		for i := range pkts {
-			if err := p.plan.run(&p.fr, pkts[i]); err != nil {
-				return fmt.Errorf("sim: packet %d: %w", i, err)
-			}
-			if sink != nil {
-				if err := sink(i, v); err != nil {
 					return err
 				}
 			}

@@ -66,15 +66,9 @@ type Pipeline struct {
 	// never mutates its argument (reset per packet).
 	hdr   map[string]uint64
 	stats Stats
-	// plan is the compiled execution plan (nil when the interpreter
-	// runs — requested explicitly, or because compilation fell back;
-	// planErr records why). fr is the plan's reusable packet frame.
-	plan    *plan
-	planErr error
-	fr      frame
-	// vm is the lowered bytecode program (EngineVM; nil when lowering
-	// fell back, vmErr records why). vmf is its reusable
-	// struct-of-arrays batch frame.
+	// vm is the lowered bytecode program (nil when the interpreter
+	// runs — requested explicitly, or because lowering fell back; vmErr
+	// records why). vmf is its reusable struct-of-arrays batch frame.
 	vm    *vmProg
 	vmErr error
 	vmf   vmFrame
@@ -87,17 +81,17 @@ type step struct {
 }
 
 // New builds a pipeline for a resolved unit and its solved layout,
-// executed by the default plan engine (see NewEngine).
+// executed by the default bytecode VM (see NewEngine).
 func New(u *lang.Unit, layout *ilpgen.Layout) (*Pipeline, error) {
-	return NewEngine(u, layout, EnginePlan)
+	return NewEngine(u, layout, EngineVM)
 }
 
-// NewEngine builds a pipeline executed by the given engine. EnginePlan
-// lowers the program to a compiled closure plan and EngineVM to a flat
-// bytecode program with batched replay (either falls back to the
-// interpreter for programs it cannot lower — see Pipeline.Fallback);
-// EngineInterp forces the reference interpreter. difftest's engine
-// oracle holds all three to bit-identical observable behavior.
+// NewEngine builds a pipeline executed by the given engine. EngineVM
+// lowers the program to a flat bytecode program with batched replay,
+// falling back to the interpreter for programs it cannot lower (see
+// Pipeline.Fallback); EngineInterp forces the reference interpreter.
+// difftest's engine oracle holds the two to bit-identical observable
+// behavior.
 func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, error) {
 	p := &Pipeline{
 		unit:   u,
@@ -147,19 +141,7 @@ func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, erro
 		}
 		return p.steps[i].iter < p.steps[j].iter
 	})
-	switch eng {
-	case EnginePlan:
-		pl, err := compilePlan(p)
-		if err != nil {
-			p.planErr = err
-		} else {
-			p.plan = pl
-			p.fr = frame{
-				vals:  make([]uint64, len(pl.slotKeys)),
-				stamp: make([]uint64, len(pl.slotKeys)),
-			}
-		}
-	case EngineVM:
+	if eng == EngineVM {
 		vm, err := lowerVM(p)
 		if err != nil {
 			p.vmErr = err
@@ -169,13 +151,6 @@ func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, erro
 		}
 	}
 	return p, nil
-}
-
-// NewVMPipeline builds a pipeline executed by the bytecode VM — sugar
-// for NewEngine(u, layout, EngineVM). Programs the VM lowering cannot
-// compile fall back to the interpreter (see Pipeline.Fallback).
-func NewVMPipeline(u *lang.Unit, layout *ilpgen.Layout) (*Pipeline, error) {
-	return NewEngine(u, layout, EngineVM)
 }
 
 // Layout returns the solved layout this pipeline executes.
@@ -291,12 +266,6 @@ func (p *Pipeline) Process(pkt Packet) (map[string]uint64, error) {
 	if p.vm != nil {
 		p.vm.run1(&p.vmf, pkt)
 		return p.vm.output(&p.vmf, 0), nil
-	}
-	if p.plan != nil {
-		if err := p.plan.run(&p.fr, pkt); err != nil {
-			return nil, err
-		}
-		return p.plan.output(&p.fr), nil
 	}
 	p.stats.Packets++
 	for k := range p.meta {

@@ -1,29 +1,30 @@
-// Bytecode VM: the third execution engine. Where the plan engine lowers
-// each placed step to a fused closure chain, the VM lowers the whole
-// schedule to a flat instruction stream over the same dense slot frame
-// and dispatches through one switch — no call per operator, no call per
-// statement. Each opcode is a superinstruction covering one complete
-// statement or guard motif the module library emits (hash→mod→store,
-// register read-modify-write, guarded min-fold compare), with width
-// masks, ALU charges, and register cell wrapping precomputed at lower
-// time so the execution loop is straight-line integer code.
+// Bytecode VM: the compiled execution engine. The lowering (lower.go)
+// turns the whole placed schedule into a flat instruction stream over a
+// dense slot frame, and the VM dispatches it through one switch — no
+// call per operator, no call per statement. A few generic opcodes cover
+// every expression and statement the language has (a binary operator
+// or builtin over two slots, computed-index register loads, stores and
+// read-modify-writes, forward guard jumps); superinstructions cover the
+// complete statement and guard motifs the module library emits
+// (hash→mod, register increment, two- and three-way adds, LT/EQ
+// guards). Width masks, ALU charges, and register cell wrapping are
+// precomputed at lower time, so the execution loop is straight-line
+// integer code.
 //
-// The VM obeys the same observational contract the plan engine is held
-// to (see plan.go): bit-identical outputs, register contents, and Stats
-// versus the reference interpreter. Lowered programs can never abort at
-// runtime — the lowering rejects non-constant and constant-zero
-// divisors — which is what makes the batched struct-of-arrays mode in
-// batch.go sound. Programs the lowering cannot compile fall back to the
-// interpreter wholesale (Pipeline.Fallback); a fallback on the four
-// benchmark apps is a difftest failure.
+// The VM is held to bit-identical outputs, register contents, and Stats
+// versus the reference interpreter (see lower.go for the contract).
+// Lowered programs can never abort at runtime, which is what makes the
+// batched struct-of-arrays mode in batch.go sound; programs the lowering
+// rejects run on the interpreter wholesale (Pipeline.Fallback).
 
 package sim
 
-// vmOp enumerates the VM's superinstruction opcodes. Every opcode must
-// be reachable from at least one of the four benchmark apps: the
-// lowering only targets motifs the module library emits, and the
-// opcode-coverage test in vm_test.go fails on any opcode no suite app
-// exercises (a dead lowering path).
+import "p4all/internal/lang"
+
+// vmOp enumerates the VM's opcodes. Every opcode must be reachable from
+// at least one program in the repository: the opcode-coverage test in
+// vm_test.go fails on any opcode no in-repo program exercises (a dead
+// lowering path).
 type vmOp uint8
 
 const (
@@ -55,20 +56,35 @@ const (
 	// opGuardEQImm evaluates the guard meta(a) == imm; on failure it
 	// jumps to target.
 	opGuardEQImm
+	// opBinSlot is the generic binary operation:
+	// vals[dst] = bin(kind, meta(a), meta(b)) & dmask, where kind is a
+	// lang operator or a builtin pseudo-kind (see vmBin). Divisors are
+	// always nonzero constants.
+	opBinSlot
+	// opRegStoreSlot stores a slot into a register cell:
+	// cell = meta(a) wrapped; store[cell] = meta(b) & mask. One write.
+	opRegStoreSlot
+	// opRegAddSlot is the read-modify-write with a slot addend:
+	// cell = meta(a) wrapped; store[cell] = (store[cell] + meta(b)) & mask.
+	// One read, one write.
+	opRegAddSlot
 
 	vmOpCount // number of opcodes; keep last
 )
 
 var vmOpNames = [vmOpCount]string{
-	opConstSlot:   "ConstSlot",
-	opHashModSlot: "HashModSlot",
-	opMovSlot:     "MovSlot",
-	opAdd2Slot:    "Add2Slot",
-	opAdd3Slot:    "Add3Slot",
-	opRegBumpSlot: "RegBumpSlot",
-	opRegLoadSlot: "RegLoadSlot",
-	opGuardLT:     "GuardLT",
-	opGuardEQImm:  "GuardEQImm",
+	opConstSlot:    "ConstSlot",
+	opHashModSlot:  "HashModSlot",
+	opMovSlot:      "MovSlot",
+	opAdd2Slot:     "Add2Slot",
+	opAdd3Slot:     "Add3Slot",
+	opRegBumpSlot:  "RegBumpSlot",
+	opRegLoadSlot:  "RegLoadSlot",
+	opGuardLT:      "GuardLT",
+	opGuardEQImm:   "GuardEQImm",
+	opBinSlot:      "BinSlot",
+	opRegStoreSlot: "RegStoreSlot",
+	opRegAddSlot:   "RegAddSlot",
 }
 
 func (o vmOp) String() string {
@@ -82,38 +98,56 @@ func (o vmOp) String() string {
 // interned fields; masks and charges are precomputed by the lowering.
 type vmInst struct {
 	op     vmOp
-	charge uint32 // ALU ops charged when this instruction executes
-	ctr    int32  // frame ALU accumulator index (stage, or the dummy)
-	a      int32  // first operand slot
-	b      int32  // second operand slot
-	c      int32  // third operand slot (opAdd3Slot)
-	dst    int32  // destination slot
-	target int32  // guard failure jump target (forward only)
-	imm    uint64 // constant operand / hash seed / guard comparand / addend
-	imm2   uint64 // modulus (opHashModSlot)
-	mask   uint64 // operation wrap mask
-	mask2  uint64 // outer wrap mask (opAdd3Slot)
-	dmask  uint64 // destination field width mask
+	kind   lang.Kind // operator (opBinSlot)
+	charge uint32    // ALU ops charged when this instruction executes
+	ctr    int32     // frame ALU accumulator index (stage, or the dummy)
+	a      int32     // first operand slot
+	b      int32     // second operand slot
+	c      int32     // third operand slot (opAdd3Slot)
+	dst    int32     // destination slot
+	target int32     // guard failure jump target (forward only)
+	imm    uint64    // constant operand / hash seed / guard comparand / addend
+	imm2   uint64    // modulus (opHashModSlot)
+	mask   uint64    // operation wrap mask
+	mask2  uint64    // outer wrap mask (opAdd3Slot)
+	dmask  uint64    // destination field width mask
 	store  []uint64
 	ncells uint64 // len(store), hoisted
 	regID  int32  // dense register-instance id; -1 when no register
 	// uncond is true when this pc lies inside no guard's skip interval
 	// (guard pc, target): every lane reaches it, so batch execution can
 	// skip the per-lane pc bookkeeping entirely (see markUncond and
-	// execVec in batch.go). Never set on opRegBumpSlot.
+	// execVec in batch.go). Never set on a register write.
 	uncond bool
 }
 
+// writesReg reports whether the instruction stores to a register: the
+// cross-packet state batch hazard analysis serializes.
+func (in *vmInst) writesReg() bool {
+	return in.op == opRegBumpSlot || in.op == opRegStoreSlot || in.op == opRegAddSlot
+}
+
 // vmProg is a lowered program: the instruction stream plus the field
-// interning tables (same shapes as the plan's) and the batch execution
-// segments derived from register hazard analysis (see batch.go).
+// interning tables and the batch execution segments derived from
+// register hazard analysis (see batch.go).
 type vmProg struct {
 	p         *Pipeline
 	fieldSlot map[string]slotRef
-	slotKeys  []string
-	code      []vmInst
-	segs      []vmSeg
-	nreg      int // distinct register instances the program touches
+	// slotKeys maps slot index back to the flattened field key, in
+	// interning order; output assembly walks it. Temporaries and
+	// constant slots have an empty key and never reach an output.
+	slotKeys []string
+	consts   []vmPreload
+	code     []vmInst
+	segs     []vmSeg
+	nreg     int // distinct register instances the program touches
+}
+
+// vmPreload is a constant operand slot, stamped live for every lane at
+// the start of each batch.
+type vmPreload struct {
+	slot int32
+	val  uint64
 }
 
 // vmLanes is the struct-of-arrays batch width: Replay runs up to this
@@ -123,7 +157,10 @@ const vmLanes = 64
 
 // vmFrame is the reusable struct-of-arrays packet frame: slot s of lane
 // l lives at index s*vmLanes+l. A slot is live for the current batch
-// iff its stamp equals gen. Stats accumulate in frame-local counters
+// iff its stamp equals gen, so "clearing" the frame is one increment.
+// Packet keys that are not interned header fields (unknown fields, or
+// keys colliding with meta names, which the interpreter also keeps out
+// of metadata) overflow into the per-lane extra key/value slices. Stats accumulate in frame-local counters
 // (batch execution is instruction-major, so per-stage totals — which
 // are order-free — are the only accounting that survives; flushStats
 // folds them into Pipeline.stats after every run).
@@ -142,12 +179,23 @@ type vmFrame struct {
 	writes uint64
 }
 
+// vmExtraCap is the per-lane room for stray packet fields reserved up
+// front, so the first batches do not grow 64 lanes' lists one by one.
+const vmExtraCap = 4
+
 func newVMFrame(nslots, nstages int) vmFrame {
-	return vmFrame{
+	fr := vmFrame{
 		vals:  make([]uint64, nslots*vmLanes),
 		stamp: make([]uint64, nslots*vmLanes),
 		alu:   make([]uint64, nstages+1),
 	}
+	keys := make([]string, vmLanes*vmExtraCap)
+	vals := make([]uint64, vmLanes*vmExtraCap)
+	for l := 0; l < vmLanes; l++ {
+		lo, hi := l*vmExtraCap, (l+1)*vmExtraCap
+		fr.extraK[l], fr.extraV[l] = keys[lo:lo:hi], vals[lo:lo:hi]
+	}
+	return fr
 }
 
 // ld reads a meta/header slot for one lane: zero when the slot was not
@@ -213,6 +261,23 @@ func (pl *vmProg) exec(fr *vmFrame, lane int, pc, end int32) int32 {
 				pc = in.target
 				continue
 			}
+		case opBinSlot:
+			fr.st(in.dst, lane, vmBin(in.kind, fr.ld(in.a, lane), fr.ld(in.b, lane))&in.dmask)
+		case opRegStoreSlot:
+			cell := fr.ld(in.a, lane)
+			if cell >= in.ncells {
+				cell %= in.ncells
+			}
+			in.store[cell] = fr.ld(in.b, lane) & in.mask
+			fr.writes++
+		case opRegAddSlot:
+			cell := fr.ld(in.a, lane)
+			if cell >= in.ncells {
+				cell %= in.ncells
+			}
+			fr.reads++
+			in.store[cell] = (in.store[cell] + fr.ld(in.b, lane)) & in.mask
+			fr.writes++
 		}
 		pc++
 	}
@@ -225,6 +290,7 @@ func (pl *vmProg) run1(fr *vmFrame, pkt Packet) {
 	pl.p.stats.Packets++
 	fr.gen++
 	fr.lanes = 1
+	pl.preload(fr)
 	fr.extraK[0] = fr.extraK[0][:0]
 	fr.extraV[0] = fr.extraV[0][:0]
 	for k, v := range pkt {
@@ -237,6 +303,40 @@ func (pl *vmProg) run1(fr *vmFrame, pkt Packet) {
 	}
 	pl.exec(fr, 0, 0, int32(len(pl.code)))
 	pl.flushStats(fr)
+}
+
+// preload stamps the constant slots live for the batch's lanes.
+func (pl *vmProg) preload(fr *vmFrame) {
+	for _, c := range pl.consts {
+		vals := fr.vals[int(c.slot)*vmLanes:]
+		stamp := fr.stamp[int(c.slot)*vmLanes:]
+		for l := 0; l < fr.lanes; l++ {
+			vals[l] = c.val
+			stamp[l] = fr.gen
+		}
+	}
+}
+
+// vmBin evaluates an opBinSlot operator: a lang operator, or one of the
+// builtin pseudo-kinds. Lowering admits only nonzero constant divisors,
+// so binOp cannot fail here.
+func vmBin(k lang.Kind, x, y uint64) uint64 {
+	switch k {
+	case kindHash:
+		return hashUint(x, y)
+	case kindMin:
+		if x < y {
+			return x
+		}
+		return y
+	case kindMax:
+		if x > y {
+			return x
+		}
+		return y
+	}
+	v, _ := binOp(k, x, y)
+	return v
 }
 
 // flushStats folds the frame-local accumulators into the pipeline's
@@ -254,14 +354,15 @@ func (pl *vmProg) flushStats(fr *vmFrame) {
 	fr.reads, fr.writes = 0, 0
 }
 
-// output materializes one lane as the map Process returns: live slots
-// in interning order, then overflow keys not shadowed by a live slot —
-// the same merge order as plan.output.
+// output materializes one lane as the map Process returns: live field
+// slots in interning order, then overflow keys — except where a live
+// meta slot shadows a same-named packet key, matching the interpreter's
+// header-then-meta merge order.
 func (pl *vmProg) output(fr *vmFrame, lane int) map[string]uint64 {
-	out := make(map[string]uint64, len(pl.slotKeys)+len(fr.extraK[lane]))
+	out := make(map[string]uint64, len(pl.fieldSlot)+len(fr.extraK[lane]))
 	for s, key := range pl.slotKeys {
 		i := s*vmLanes + lane
-		if fr.stamp[i] == fr.gen {
+		if key != "" && fr.stamp[i] == fr.gen {
 			out[key] = fr.vals[i]
 		}
 	}

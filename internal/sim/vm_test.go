@@ -1,18 +1,23 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"p4all/internal/apps"
 	"p4all/internal/core"
 	"p4all/internal/ilp"
+	"p4all/internal/modules"
 	"p4all/internal/pisa"
 	"p4all/internal/workload"
 )
 
-// vmSuite compiles the four benchmark apps once per test binary; each
-// test builds fresh pipelines from the cached unit/layout.
+// vmSuite compiles every program in the repository once per test
+// binary — the four Figure 11 apps, FlowRadar, HashPipe, and the six
+// standalone library modules — and each test builds fresh pipelines
+// from the cached unit/layout. Every one of them must lower to the VM.
 type vmSuiteApp struct {
 	name   string
 	res    *core.Result
@@ -28,19 +33,34 @@ var (
 func vmSuite(t *testing.T) []vmSuiteApp {
 	t.Helper()
 	vmSuiteOnce.Do(func() {
+		flow := []string{"pkt.flow", "pkt.len"}
 		fields := map[string][]string{
 			"NetCache":    {"query.key", "query.op", "ipv4.dst"},
-			"SketchLearn": {"pkt.flow", "pkt.len"},
-			"Precision":   {"pkt.flow", "pkt.len"},
+			"SketchLearn": flow,
+			"Precision":   flow,
 			"ConQuest":    {"pkt.flow", "pkt.qdepth"},
+			"FlowRadar":   flow,
+			"HashPipe":    flow,
 		}
-		for _, app := range apps.All() {
+		progs := append(apps.All(), apps.FlowRadar(), apps.HashPipe())
+		for _, m := range []struct{ name, src string }{
+			{"CMS", modules.StandaloneCMS()},
+			{"Bloom", modules.StandaloneBloom()},
+			{"KVS", modules.StandaloneKVS()},
+			{"HashTable", modules.StandaloneHashTable()},
+			{"CountingTable", modules.StandaloneCountingTable()},
+			{"IDTable", modules.StandaloneIDTable()},
+		} {
+			progs = append(progs, apps.App{Name: m.name, Source: m.src})
+			fields[m.name] = []string{"pkt.flow", "pkt.payload"}
+		}
+		for _, app := range progs {
 			res, err := core.Compile(app.Source, pisa.EvalTarget(pisa.Mb), core.Options{
 				Solver:      ilp.Options{Deterministic: true, Gap: 0.1},
 				SkipCodegen: true,
 			})
 			if err != nil {
-				vmSuiteErr = err
+				vmSuiteErr = fmt.Errorf("%s: %w", app.Name, err)
 				return
 			}
 			vmSuiteApps = append(vmSuiteApps, vmSuiteApp{name: app.Name, res: res, fields: fields[app.Name]})
@@ -53,12 +73,13 @@ func vmSuite(t *testing.T) []vmSuiteApp {
 }
 
 // vmStream builds a deterministic packet stream: zipf-distributed keys
-// (so take-min guards go both ways) plus hash-derived secondary fields.
+// (so take-min guards go both ways) plus hash-derived secondary fields,
+// and an undeclared field so the overflow path is covered.
 func vmStream(app vmSuiteApp, seed int64, n int) []Packet {
 	keys := workload.ZipfKeys(seed, 200, 1.05, n)
 	pkts := make([]Packet, n)
 	for i, k := range keys {
-		p := Packet{app.fields[0]: k}
+		p := Packet{app.fields[0]: k, "pkt.unknown": k ^ 0xABCD}
 		for j, f := range app.fields[1:] {
 			p[f] = hashUint(uint64(i), uint64(j)) & 0xFFFF
 		}
@@ -84,7 +105,7 @@ func seedVMRegisters(p *Pipeline) {
 
 func newVMPair(t *testing.T, app vmSuiteApp) (vm, interp *Pipeline) {
 	t.Helper()
-	vm, err := NewVMPipeline(app.res.Unit, app.res.Layout)
+	vm, err := New(app.res.Unit, app.res.Layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +123,8 @@ func newVMPair(t *testing.T, app vmSuiteApp) (vm, interp *Pipeline) {
 
 // TestVMMatchesInterpreterOnApps is the scalar half of the acceptance
 // bar: Process through the VM must be bit-identical to the reference
-// interpreter — outputs, Stats, and register state — on all four apps.
+// interpreter — outputs, Stats, and register state — on every in-repo
+// program.
 func TestVMMatchesInterpreterOnApps(t *testing.T) {
 	for _, app := range vmSuite(t) {
 		t.Run(app.name, func(t *testing.T) {
@@ -260,13 +282,13 @@ func TestVMReplayZeroAllocs(t *testing.T) {
 }
 
 // TestVMOpcodeCoverage asserts every opcode the lowering can emit is
-// exercised by at least one of the four suite apps. An unreached
-// opcode is a dead lowering path: either the lowering grew a motif the
-// library no longer emits, or the suite shrank — both are bugs here.
+// exercised by at least one in-repo program. An unreached opcode is a
+// dead lowering path: either the lowering grew a motif no program
+// needs, or the suite shrank — both are bugs here.
 func TestVMOpcodeCoverage(t *testing.T) {
 	emittedBy := make(map[vmOp][]string)
 	for _, app := range vmSuite(t) {
-		vm, err := NewVMPipeline(app.res.Unit, app.res.Layout)
+		vm, err := New(app.res.Unit, app.res.Layout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +305,7 @@ func TestVMOpcodeCoverage(t *testing.T) {
 	}
 	for op := vmOp(0); op < vmOpCount; op++ {
 		if len(emittedBy[op]) == 0 {
-			t.Errorf("opcode %s is emitted by no suite app — dead lowering path", op)
+			t.Errorf("opcode %s is emitted by no in-repo program — dead lowering path", op)
 		} else {
 			t.Logf("opcode %-12s exercised by %v", op, emittedBy[op])
 		}
@@ -295,7 +317,7 @@ func TestVMOpcodeCoverage(t *testing.T) {
 // write must land in a serial segment.
 func TestVMBatchSegments(t *testing.T) {
 	for _, app := range vmSuite(t) {
-		vm, err := NewVMPipeline(app.res.Unit, app.res.Layout)
+		vm, err := New(app.res.Unit, app.res.Layout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,15 +340,16 @@ func TestVMBatchSegments(t *testing.T) {
 			t.Fatalf("%s: segments end at %d, code has %d instructions", app.name, pos, len(prog.code))
 		}
 		for pc, in := range prog.code {
-			if in.op == opRegBumpSlot && !serialAt[int32(pc)] {
+			if in.writesReg() && !serialAt[int32(pc)] {
 				t.Fatalf("%s: register write at pc %d is in a vector segment", app.name, pc)
 			}
 		}
 	}
 }
 
-// TestVMFallback: a program outside the lowering's motif set must fall
-// back to the interpreter and still execute correctly.
+// TestVMFallback: a program that can abort at runtime (a dynamic
+// divisor) must fall back to the interpreter and still execute
+// correctly.
 func TestVMFallback(t *testing.T) {
 	src := `
 header hdr { bit<32> a; bit<32> b; }
@@ -338,7 +361,7 @@ control main { apply { div(); } }
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	vm, err := NewVMPipeline(res.Unit, res.Layout)
+	vm, err := New(res.Unit, res.Layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +384,145 @@ control main { apply { div(); } }
 	}
 }
 
-// TestParseEngineVM pins the vm spelling alongside the existing two.
+// TestParseEngineVM pins the vm spelling and the VM as the zero
+// Engine, which is what makes it the default of every config struct
+// that carries an Engine.
 func TestParseEngineVM(t *testing.T) {
 	if e, err := ParseEngine("vm"); err != nil || e != EngineVM {
 		t.Fatalf("ParseEngine(vm) = %v, %v", e, err)
 	}
 	if EngineVM.String() != "vm" {
 		t.Fatalf("EngineVM.String() = %q", EngineVM.String())
+	}
+	var zero Engine
+	if zero != EngineVM {
+		t.Fatalf("zero Engine = %v, want vm", zero)
+	}
+}
+
+// TestVMBatchSameCellHazard packs one 64-lane batch with packets that
+// hit the same Bloom cells — the filter is read and then written in
+// the same step, so a lane's read depends on the previous lane's write.
+// The batch must equal packet-by-packet Process.
+func TestVMBatchSameCellHazard(t *testing.T) {
+	var app vmSuiteApp
+	for _, a := range vmSuite(t) {
+		if a.name == "Bloom" {
+			app = a
+		}
+	}
+	vm, interp := newVMPair(t, app)
+	pkts := make([]Packet, vmLanes)
+	for i := range pkts {
+		pkts[i] = Packet{"pkt.flow": uint64(i % 3)}
+	}
+	err := vm.Replay(pkts, func(i int, v View) error {
+		want, err := interp.Process(pkts[i])
+		if err != nil {
+			return err
+		}
+		assertSameOutputs(t, i, v.Map(), want)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCounters(t, vm, interp)
+}
+
+// TestVMMatchesInterpreterOnConstructs covers the generic lowering on
+// constructs no library module emits: unary operators, short-circuit
+// connectives, if/else inside an action body, header stores, builtins
+// outside the hash-index motif, constant divisors, computed register
+// stores, constant-expression field indexes (which charge ALU ops),
+// and guards that are not a plain comparison.
+// Each program must lower without falling back and match the
+// interpreter bit for bit over a random stream.
+func TestVMMatchesInterpreterOnConstructs(t *testing.T) {
+	const hdr = `header pkt { bit<8> a; bit<16> b; bit<32> c; }
+`
+	progs := map[string]string{
+		"unary": hdr + `struct meta { bit<32> x; bit<8> y; bit<1> z; }
+action u() { meta.x = -pkt.a; meta.y = -(pkt.b + 1); meta.z = !pkt.a; }
+control main { apply { u(); } }`,
+		"logic": hdr + `struct meta { bit<8> x; bit<8> y; bit<8> z; }
+action l() {
+    meta.x = pkt.a < 100 && pkt.b > 20000;
+    meta.y = pkt.a == 3 || pkt.c % 5 == 0;
+    meta.z = meta.x || meta.z && pkt.a;
+    meta.y = pkt.b && meta.y;
+}
+control main { apply { l(); } }`,
+		"ifelse": hdr + `struct meta { bit<16> x; bit<16> y; }
+action f() {
+    if (pkt.a > 128) {
+        meta.x = pkt.b / 3;
+        if (pkt.c != 7) { meta.y = 1; } else { meta.y = 2; }
+    } else {
+        meta.x = max(pkt.a, pkt.b) - min(pkt.c, 9);
+    }
+}
+control main { apply { f(); } }`,
+		"header-store": hdr + `struct meta { bit<32> h; }
+action s() { pkt.a = pkt.a * 3 + 1; pkt.b = pkt.a; meta.h = hash(pkt.c, pkt.a) % 1000 + hash(pkt.b, 2); }
+control main { apply { s(); } }`,
+		"registers": hdr + `symbolic int n;
+struct meta { bit<32>[n] i; bit<32> v; }
+register<bit<16>>[64][n] r;
+action w()[int k] {
+    meta.i[k] = (pkt.c + k) % 64;
+    r[k][meta.i[k]] = pkt.b - meta.i[k];
+    r[k][meta.i[k] + 1] = r[k][meta.i[k] + 1] + pkt.a;
+    meta.v = meta.v + r[k][(meta.i[k] * 7) % 64] + r[k][meta.i[k]];
+    meta.i[k] = r[k][meta.i[k]] + 1;
+}
+action c() { meta.v = meta.i[1 - 1] + 1; meta.i[2 - 2] = meta.v * 3; }
+control main { apply { for (k < n) { w()[k]; } c(); } }
+assume n >= 1 && n <= 2;
+optimize n;`,
+		"guards": hdr + `struct meta { bit<8> g; bit<8> h; }
+action m() { meta.g = 1; }
+action n() { meta.h = pkt.a; }
+control main { apply {
+    if (pkt.a) { m(); }
+    if (pkt.b >= 300 && meta.g == 1) { n(); }
+} }`,
+	}
+	rng := rand.New(rand.NewSource(5))
+	for name, src := range progs {
+		t.Run(name, func(t *testing.T) {
+			vm, interp := compilePair(t, src, simTestTarget())
+			pkts := make([]Packet, 3*vmLanes+5)
+			for i := range pkts {
+				// Wider-than-declared values exercise the header load masks.
+				pkts[i] = Packet{"pkt.a": rng.Uint64() % 512, "pkt.b": rng.Uint64() % 70000, "pkt.c": rng.Uint64() % 20}
+				if i%7 == 0 {
+					delete(pkts[i], "pkt.b")
+				}
+			}
+			for i, pkt := range pkts[:vmLanes] {
+				a, err := vm.Process(pkt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := interp.Process(pkt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameOutputs(t, i, a, b)
+			}
+			err := vm.Replay(pkts[vmLanes:], func(i int, v View) error {
+				want, err := interp.Process(pkts[vmLanes+i])
+				if err != nil {
+					return err
+				}
+				assertSameOutputs(t, vmLanes+i, v.Map(), want)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameCounters(t, vm, interp)
+		})
 	}
 }

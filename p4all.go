@@ -101,27 +101,25 @@ type Pipeline = sim.Pipeline
 type Packet = sim.Packet
 
 // NewPipeline builds an executable pipeline from a compilation result,
-// using the default plan engine.
+// using the default bytecode VM engine.
 func NewPipeline(res *Result) (*Pipeline, error) {
 	return sim.New(res.Unit, res.Layout)
 }
 
-// PipelineEngine selects a pipeline's execution strategy: EnginePlan
-// compiles the layout into a flat zero-allocation closure plan (the
-// default; falls back to the interpreter for programs it cannot
-// lower), EngineVM lowers it further to a bytecode VM whose Replay
-// batches packets struct-of-arrays style (the fastest engine; same
-// fallback rule), EngineInterp forces the reference AST interpreter.
-// See docs/SIM_PERF.md.
+// PipelineEngine selects a pipeline's execution strategy: EngineVM (the
+// default) lowers the layout to a bytecode VM whose zero-allocation
+// Replay batches packets struct-of-arrays style, falling back to the
+// interpreter only for programs that could abort at runtime or index
+// elastic instances by runtime values; EngineInterp forces the
+// reference AST interpreter. See docs/SIM_PERF.md.
 type PipelineEngine = sim.Engine
 
 const (
-	EnginePlan   = sim.EnginePlan
-	EngineInterp = sim.EngineInterp
 	EngineVM     = sim.EngineVM
+	EngineInterp = sim.EngineInterp
 )
 
-// ParsePipelineEngine maps "plan"/"interp"/"vm" to its engine value.
+// ParsePipelineEngine maps "vm"/"interp" to its engine value.
 func ParsePipelineEngine(s string) (PipelineEngine, error) { return sim.ParseEngine(s) }
 
 // NewPipelineEngine builds an executable pipeline on a specific engine
