@@ -10,8 +10,9 @@ GO        ?= go
 # gated on both ns/op and allocs/op, and additionally held to a floor
 # multiple of the interpreter's speed within the same run),
 # the sharded serving runtime (gated on allocs/op — its hot loop is
-# pinned at zero), the translation validator (gated on ns/op — a
-# path-count blowup shows up here), the multi-tenant warm re-solves
+# pinned at zero), the translation validator (gated on ns/op and
+# allocs/op — a path-count or interning blowup shows up here), the
+# multi-tenant warm re-solves
 # (both the nudge and the harder flip variant gated on ns/op and
 # allocs/op — the sub-second elastic-reallocation claim and the
 # solver's node-throughput work ride on them), plus the Figure 9 and
@@ -60,7 +61,8 @@ bench:
 
 # bench-gate compares bench-new.txt against the checked-in baseline:
 # fails on a >25% geomean ns/op regression in the gated benchmarks, on
-# any allocs/op increase in the VM replay benchmarks, or when the VM's
+# an allocs/op increase in the alloc-gated ones (VM replay, serve
+# scaling, multi-tenant re-solves, certify), or when the VM's
 # batched replay drops below benchgate's -vmratio multiple of the
 # interpreter's speed within the same run.
 bench-gate:

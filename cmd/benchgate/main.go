@@ -256,13 +256,22 @@ func compare(w io.Writer, base, fresh map[string]float64, gate *regexp.Regexp) (
 	return geomean(ratios), len(ratios)
 }
 
+// defaultGate and defaultAllocGate are the -gate and -allocgate
+// defaults: the benchmarks CI holds to the baseline on ns/op, and those
+// whose allocs/op may not grow. The translation validator is on both:
+// its allocation count tracks the per-node interning cost.
+const (
+	defaultGate      = `^BenchmarkILPSolve|^BenchmarkSimReplay/.*engine=vm|^BenchmarkCertify|^BenchmarkMultiTenantResolve/`
+	defaultAllocGate = `^BenchmarkSimReplay/.*engine=vm|^BenchmarkServeScaling|^BenchmarkMultiTenantResolve/|^BenchmarkCertify`
+)
+
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "baseline file to write or compare against")
 	write := flag.Bool("write", false, "record stdin as the new baseline instead of comparing")
 	text := flag.Bool("text", false, "dump the baseline's raw benchmark lines (benchstat input) and exit")
 	threshold := flag.Float64("threshold", 1.25, "fail when geomean(new/old) over gated benchmarks exceeds this")
-	gatePat := flag.String("gate", `^BenchmarkILPSolve|^BenchmarkSimReplay/.*engine=vm|^BenchmarkCertify|^BenchmarkMultiTenantResolve/`, "regexp selecting the benchmarks that can fail the ns/op gate")
-	allocGatePat := flag.String("allocgate", `^BenchmarkSimReplay/.*engine=vm|^BenchmarkServeScaling|^BenchmarkMultiTenantResolve/`, "regexp selecting the benchmarks whose allocs/op may not increase over baseline")
+	gatePat := flag.String("gate", defaultGate, "regexp selecting the benchmarks that can fail the ns/op gate")
+	allocGatePat := flag.String("allocgate", defaultAllocGate, "regexp selecting the benchmarks whose allocs/op may not increase over baseline")
 	allocSlack := flag.Float64("allocslack", 0.10, "relative allocs/op headroom for nonzero baselines (zero baselines always allow exactly zero)")
 	vmRatio := flag.Float64("vmratio", 25, "fail when BenchmarkSimReplay/<app>/engine=vm is below this multiple of the same run's engine=interp speed (0 disables; docs/SIM_PERF.md records the runs it was set from)")
 	flag.Parse()

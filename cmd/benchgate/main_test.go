@@ -109,6 +109,34 @@ func TestCompareAllocsSlackOnlyForNonzeroBaselines(t *testing.T) {
 	}
 }
 
+// TestDefaultAllocGateCoversCertify: the default -allocgate holds
+// every BenchmarkCertify case to its baseline allocs/op, alongside the
+// replay, serving and re-solve benchmarks, and leaves the ungated ones
+// alone.
+func TestDefaultAllocGateCoversCertify(t *testing.T) {
+	gate := regexp.MustCompile(defaultAllocGate)
+	for _, name := range []string{
+		"BenchmarkCertify/cms", "BenchmarkCertify/sketchlearn", "BenchmarkCertify/conquest",
+		"BenchmarkSimReplay/NetCache/engine=vm", "BenchmarkServeScaling/shards=2", "BenchmarkMultiTenantResolve/flip",
+	} {
+		if !gate.MatchString(name) {
+			t.Errorf("default alloc gate misses %s", name)
+		}
+	}
+	for _, name := range []string{"BenchmarkSimReplay/NetCache/engine=interp", "BenchmarkILPSolve/threads=1", "BenchmarkFigure9UnrollBound"} {
+		if gate.MatchString(name) {
+			t.Errorf("default alloc gate covers %s", name)
+		}
+	}
+	base := map[string]float64{"BenchmarkCertify/cms": 1900, "BenchmarkCertify/sketchlearn": 1900}
+	fresh := map[string]float64{"BenchmarkCertify/cms": 1950, "BenchmarkCertify/sketchlearn": 380000}
+	var buf strings.Builder
+	checked, regressed := compareAllocs(&buf, base, fresh, gate, 0.10)
+	if checked != 2 || regressed != 1 || !strings.Contains(buf.String(), "sketchlearn") {
+		t.Fatalf("checked=%d regressed=%d, want 2/1 naming sketchlearn:\n%s", checked, regressed, buf.String())
+	}
+}
+
 func TestGeomean(t *testing.T) {
 	got := geomean([]float64{1, 4})
 	if math.Abs(got-2) > 1e-12 {

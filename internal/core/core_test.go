@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"p4all/internal/apps"
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
 	"p4all/internal/modules"
@@ -97,5 +98,33 @@ func TestCompileUnitReuse(t *testing.T) {
 	if res2.Layout.Symbolic("cms_cols") < res1.Layout.Symbolic("cms_cols") {
 		t.Errorf("doubling memory shrank cols: %d -> %d",
 			res1.Layout.Symbolic("cms_cols"), res2.Layout.Symbolic("cms_cols"))
+	}
+}
+
+// TestFlowRadarCertifies: on the evaluation targets the solver leaves
+// FlowRadar's counter table a fraction of a cell over its whole cells
+// once each stage's memory is rounded (611669 bits for 19114 cells of
+// 32 at 7/4 Mb). The extracted layout must trim that remainder, or the
+// certifier's register-shape audit rejects the compile (bits that are
+// not cells×width).
+func TestFlowRadarCertifies(t *testing.T) {
+	opts := Options{
+		Solver:  ilp.Options{Gap: 0.03, NodeLimit: 4000, TimeLimit: 90 * time.Second, Deterministic: true},
+		Certify: true,
+		Name:    "FlowRadar",
+	}
+	for _, mem := range []int{pisa.Mb / 2, pisa.Mb, 5 * pisa.Mb / 4, 3 * pisa.Mb / 2, 7 * pisa.Mb / 4} {
+		res, err := Compile(apps.FlowRadar().Source, pisa.EvalTarget(mem), opts)
+		if err != nil {
+			t.Fatalf("%d bits: %v", mem, err)
+		}
+		if !res.Certificate.Proved() {
+			t.Errorf("%d bits: %s", mem, res.Certificate.Summary())
+			for _, c := range res.Certificate.Audit.Checks {
+				if !c.OK {
+					t.Errorf("  audit %s: %s", c.Name, c.Detail)
+				}
+			}
+		}
 	}
 }

@@ -28,9 +28,8 @@ const (
 )
 
 // refactorEvery bounds how many pivots may elapse between full
-// recomputations of the basis inverse (variable so debug runs can
-// refactorize aggressively).
-var refactorEvery = 128
+// recomputations of the basis inverse.
+const refactorEvery = 128
 
 var errSingularBasis = errors.New("ilp: singular basis during refactorization")
 
@@ -230,7 +229,7 @@ type lpWorkspace struct {
 	xB     []float64
 	resid  []float64
 	y, w   []float64
-	bmat   [][]float64 // refactorization scratch, [K | I] augmented
+	bmat   [][]float64 // kernel refactorization scratch, [K | I] augmented (see kernelScratch)
 	slack  []spCol     // cached unit slack columns, one per row
 
 	// Block-triangular refactorization scratch (refactorizeBasis):
@@ -274,7 +273,8 @@ func (ws *lpWorkspace) invalidate() {
 }
 
 // newWorkspace allocates buffers for solving LPs over sf. Capacities
-// cover the worst case of one artificial column per row.
+// cover the worst case of one artificial column per row, except the
+// kernel refactorization scratch, which kernelScratch sizes on demand.
 func newWorkspace(sf *standardForm) *lpWorkspace {
 	m := sf.m
 	capN := sf.nStruct + 2*m
@@ -291,7 +291,6 @@ func newWorkspace(sf *standardForm) *lpWorkspace {
 		resid:  make([]float64, m),
 		y:      make([]float64, m),
 		w:      make([]float64, m),
-		bmat:   make([][]float64, m),
 		slack:  make([]spCol, m),
 		pivRow: make([]int32, m),
 		rowPos: make([]int32, m),
@@ -302,7 +301,6 @@ func newWorkspace(sf *standardForm) *lpWorkspace {
 	}
 	for i := 0; i < m; i++ {
 		ws.binv[i] = make([]float64, m)
-		ws.bmat[i] = make([]float64, 2*m)
 		ws.slack[i] = spCol{ind: []int32{int32(i)}, val: []float64{1}}
 	}
 	ws.nodeLo = make([]float64, sf.nStruct)
@@ -938,7 +936,7 @@ func (s *simplex) refactorizeBasis() error {
 	// Invert the kernel via Gauss-Jordan with partial pivoting on the
 	// workspace's augmented scratch [K | I] (rows were permuted by the
 	// previous elimination, so every used row is rezeroed).
-	bmat := ws.bmat[:kK]
+	bmat := ws.kernelScratch(kK)
 	for i := 0; i < kK; i++ {
 		row := bmat[i][:2*kK]
 		for k := range row {
@@ -1027,6 +1025,26 @@ func (s *simplex) refactorizeBasis() error {
 	return nil
 }
 
+// kernelScratch returns k rows of at least 2k columns for the kernel
+// elimination. Only the kernel block is ever eliminated, and kernels
+// run far below the row count (the suite apps' largest is NetCache's,
+// k=186 of m=554 rows), so the scratch starts empty and grows to the
+// largest kernel seen, plus a quarter so that a slowly growing kernel
+// does not reallocate at every step. Every row sits in one backing
+// array; the elimination swaps row headers, which keeps each row's
+// full capacity.
+func (ws *lpWorkspace) kernelScratch(k int) [][]float64 {
+	if k > len(ws.bmat) {
+		n := min(k+k/4, len(ws.basis))
+		buf := make([]float64, 2*n*n)
+		ws.bmat = make([][]float64, n)
+		for i := range ws.bmat {
+			ws.bmat[i] = buf[2*n*i : 2*n*(i+1) : 2*n*(i+1)]
+		}
+	}
+	return ws.bmat[:k]
+}
+
 // computeXB recomputes the basic values xB = Binv · (b - A_N x_N) from
 // the current inverse and nonbasic statuses. Dual re-solves use it
 // directly when the parent's inverse is still resident: a child's
@@ -1112,12 +1130,7 @@ func (s *simplex) pivotBinv(r int, w []float64) {
 	}
 }
 
-// debugChecks enables expensive internal invariant checks (set by
-// tests via the ilpdebug build hook).
+// debugChecks enables expensive internal invariant checks. Package
+// tests switch it on around the solves they want audited; it is never
+// set outside them.
 var debugChecks = false
-
-// SetDebugChecks toggles internal solver invariant checks (tests only).
-func SetDebugChecks(on bool) { debugChecks = on }
-
-// SetRefactorEvery adjusts the refactorization interval (tests only).
-func SetRefactorEvery(n int) { refactorEvery = n }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"p4all/internal/dep"
 	"p4all/internal/ilp"
 	"p4all/internal/lang"
 	"p4all/internal/pisa"
@@ -407,5 +408,74 @@ optimize sz;
 	}
 	if !multi {
 		t.Errorf("register did not span stages: %+v", wide.Registers)
+	}
+}
+
+// TestExtractTrimsFractionalCell: each stage's memory variable rounds on
+// its own, so a solution can give a register instance a fraction of a
+// cell more than Cells×Width bits in total. Extraction takes the excess
+// back from the last occupied stages, in the placement and in the
+// stage totals, dropping a stage it empties, so the layout passes the
+// certifier's register-shape audit.
+func TestExtractTrimsFractionalCell(t *testing.T) {
+	src := `
+symbolic int sz;
+header h { bit<32> key; }
+struct meta { bit<32> idx; }
+register<bit<32>>[sz] big;
+action bump() { meta.idx = hash(h.key, 1) % sz; big[meta.idx] = big[meta.idx] + 1; }
+control main { apply { bump(); } }
+optimize sz;
+`
+	tgt := pisa.Target{Name: "trim", Stages: 4, MemoryBits: 4096, StatefulALUs: 2, StatelessALUs: 8, PHVBits: 4096}
+	p, layout := compile(t, src, tgt)
+	if len(layout.Registers) != 1 || len(layout.Registers[0].Stages) != 1 {
+		t.Fatalf("want one register in one stage, got %+v", layout.Registers)
+	}
+	want := layout.Registers[0]
+	home := want.Stages[0]
+	next := (home + 1) % tgt.Stages
+	vars := p.mem[dep.RegInstance{Name: "big", Index: 0}]
+
+	for _, tc := range []struct {
+		name  string
+		extra map[int]float64 // added to a stage's memory variable
+	}{
+		{"fraction of a cell on the register's stage", map[int]float64{home: 7.4}},
+		{"sliver on a later stage", map[int]float64{next: 5}},
+		{"excess across two stages", map[int]float64{home: 7.4, next: 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vals := append([]float64(nil), layout.Values...)
+			for s, d := range tc.extra {
+				vals[vars[s]] += d
+			}
+			got, err := p.extractFrom(&ilp.Solution{Status: ilp.StatusOptimal, Values: vals})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp := got.Registers[0]
+			if rp.Cells != want.Cells {
+				t.Errorf("cells %d, want %d", rp.Cells, want.Cells)
+			}
+			var total int64
+			for _, s := range rp.Stages {
+				total += rp.Bits[s]
+			}
+			if total != rp.Cells*int64(rp.Width) {
+				t.Errorf("stages hold %d bits for %d cells of width %d", total, rp.Cells, rp.Width)
+			}
+			if len(rp.Bits) != len(rp.Stages) {
+				t.Errorf("bits %v do not match stages %v", rp.Bits, rp.Stages)
+			}
+			for s, use := range got.Stages {
+				if use.MemoryBits != rp.Bits[s] {
+					t.Errorf("stage %d uses %d memory bits, register holds %d there", s, use.MemoryBits, rp.Bits[s])
+				}
+			}
+			if next > home && (len(rp.Stages) != 1 || rp.Stages[0] != home) {
+				t.Errorf("stages %v, want the sliver's stage dropped: [%d]", rp.Stages, home)
+			}
+		})
 	}
 }

@@ -220,10 +220,32 @@ func (p *ILP) extractFrom(sol *ilp.Solution) (*Layout, error) {
 				continue // instance does not exist in this layout
 			}
 			rp.Cells = total / int64(reg.Width)
+			trimRemainder(&rp, total-rp.Cells*int64(reg.Width), l.Stages)
 			l.Registers = append(l.Registers, rp)
 		}
 	}
 	return l, nil
+}
+
+// trimRemainder takes back the bits that do not make up a whole cell.
+// Each stage's memory variable is rounded on its own, so the stages can
+// sum to a fraction of a cell more than Cells×Width; the excess comes
+// off the last occupied stages, in both the placement and the stage's
+// StageUse, and a stage left with no bits is dropped from the
+// placement. The emitted program is unaffected: it sizes registers by
+// Cells alone.
+func trimRemainder(rp *RegPlacement, excess int64, stages []StageUse) {
+	for excess > 0 {
+		last := rp.Stages[len(rp.Stages)-1]
+		cut := min(excess, rp.Bits[last])
+		rp.Bits[last] -= cut
+		stages[last].MemoryBits -= cut
+		excess -= cut
+		if rp.Bits[last] == 0 {
+			delete(rp.Bits, last)
+			rp.Stages = rp.Stages[:len(rp.Stages)-1]
+		}
+	}
 }
 
 // Validate re-checks a layout against the target's physical limits and

@@ -131,6 +131,37 @@ func TestCompileCertifies(t *testing.T) {
 	}
 }
 
+// TestCIMixCertifies: the CI tenant mix (NetCache, SketchLearn and
+// FlowRadar weighted 1, 1, 2 with utility floors of 1024 on the 1/2 Mb
+// evaluation target, as `make multitenant` compiles it) certifies every
+// tenant on its cold compile. FlowRadar's counter table used to come
+// out of extraction a fraction of a cell over its whole cells, which
+// the register-shape audit rejects.
+func TestCIMixCertifies(t *testing.T) {
+	mix := []Tenant{
+		{Name: "netcache", Source: apps.NetCache(apps.NetCacheConfig{}).Source, Weight: 1, MinUtility: 1024},
+		{Name: "sketchlearn", Source: apps.SketchLearn().Source, Weight: 1, MinUtility: 1024},
+		{Name: "flowradar", Source: apps.FlowRadar().Source, Weight: 2, MinUtility: 1024},
+	}
+	var opts Options
+	opts.Certify = true
+	opts.Solver.Deterministic = true
+	res, err := Compile(mix, pisa.EvalTarget(pisa.Mb/2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range res.Tenants {
+		if !tr.Certificate.Proved() {
+			t.Errorf("tenant %s: %s", tr.Name, tr.Certificate.Summary())
+			for _, c := range tr.Certificate.Audit.Checks {
+				if !c.OK {
+					t.Errorf("  audit %s: %s", c.Name, c.Detail)
+				}
+			}
+		}
+	}
+}
+
 // TestCompileRejectsBadTenants: duplicate and reserved names, and
 // negative non-sentinel weights, fail loudly before any solving.
 func TestCompileRejectsBadTenants(t *testing.T) {

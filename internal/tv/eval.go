@@ -3,6 +3,7 @@ package tv
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"p4all/internal/codegen"
 	"p4all/internal/dep"
@@ -62,6 +63,16 @@ func newPathState(stages int) *pathState {
 		regs: make(map[regKey]*node),
 		alu:  make([]uint64, stages),
 	}
+}
+
+// reset returns the state to a fresh packet's, keeping its storage.
+func (st *pathState) reset() {
+	clear(st.hdr)
+	clear(st.meta)
+	clear(st.regs)
+	clear(st.alu)
+	st.regReads, st.regWrites = 0, 0
+	st.aborted = ""
 }
 
 // abortErr carries the interpreter-visible abort reason (packet
@@ -126,6 +137,14 @@ type machine struct {
 	pathBudget     int
 	decisionBudget int
 
+	// Per-path execution state, reset (not reallocated) for each path.
+	src, tgt *pathState
+
+	// Field storage keys, built once per field instance and reused on
+	// every path.
+	metaKeys  map[metaRef]string
+	fieldKeys map[*codegen.CFieldRef]string
+
 	// Concrete mode: packet inputs bound to per-trial constants and
 	// initial register cells to zero, turning both executions into
 	// straight-line constant folding.
@@ -143,6 +162,11 @@ func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pat
 		regCells:       make(map[regKey]int64, len(prog.Actions)),
 		pathBudget:     pathBudget,
 		decisionBudget: decisionBudget,
+		assign:         make(map[*node]bool),
+		src:            newPathState(len(layout.Stages)),
+		tgt:            newPathState(len(layout.Stages)),
+		metaKeys:       make(map[metaRef]string),
+		fieldKeys:      make(map[*codegen.CFieldRef]string),
 	}
 	counts := dep.Counts{}
 	for _, l := range u.Loops {
@@ -256,7 +280,15 @@ func applyStepName(s codegen.CApplyStep) string {
 
 // key flattens an elastic field instance to its simulator storage key.
 func key(qual string, idx uint64) string {
-	return fmt.Sprintf("%s@%d", qual, idx)
+	return qual + "@" + strconv.FormatUint(idx, 10)
+}
+
+// metaRef names one source field instance: a scalar field, or one
+// instance of an elastic field.
+type metaRef struct {
+	f       *lang.MetaField
+	idx     uint64
+	elastic bool
 }
 
 // inVar is the packet input for a header key: a free symbolic variable
@@ -584,13 +616,14 @@ func (ev *evalCtx) evalL(e lang.Expr) (sv, error) {
 		}
 		return ev.arith(e.Op, x, y)
 	case *lang.CallExpr:
-		args := make([]sv, len(e.Args))
-		for i, a := range e.Args {
+		var buf [2]sv
+		args := buf[:0]
+		for _, a := range e.Args {
 			v, err := ev.evalL(a)
 			if err != nil {
 				return sv{}, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
 		return ev.builtin(e.Name, args)
 	case *lang.Ref:
@@ -691,13 +724,12 @@ func (ev *evalCtx) regTargetL(ref *lang.Ref, reg *lang.Register) (int64, sv, err
 
 func (ev *evalCtx) metaKeyL(ref *lang.Ref, f *lang.MetaField) (string, error) {
 	fseg := ref.Segs[1]
-	qual := f.Qual()
 	elastic := f.Count.IsSymbolic() || f.Count.Const > 1
 	if !elastic {
-		return qual, nil
+		return ev.m.metaKey(metaRef{f: f}), nil
 	}
 	if len(fseg.Indexes) != 1 {
-		return "", &abortErr{reason: "elastic field " + qual + " needs one index"}
+		return "", &abortErr{reason: "elastic field " + f.Qual() + " needs one index"}
 	}
 	iv, err := ev.indexValueL(fseg.Indexes[0])
 	if err != nil {
@@ -707,7 +739,19 @@ func (ev *evalCtx) metaKeyL(ref *lang.Ref, f *lang.MetaField) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return key(qual, idx), nil
+	return ev.m.metaKey(metaRef{f: f, idx: idx, elastic: true}), nil
+}
+
+func (m *machine) metaKey(r metaRef) string {
+	k, ok := m.metaKeys[r]
+	if !ok {
+		k = r.f.Qual()
+		if r.elastic {
+			k = key(k, r.idx)
+		}
+		m.metaKeys[r] = k
+	}
+	return k
 }
 
 func (ev *evalCtx) assignL(ref *lang.Ref, v sv) error {
@@ -884,13 +928,14 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 		}
 		return ev.arith(e.Op, x, y)
 	case *codegen.CCall:
-		args := make([]sv, len(e.Args))
-		for i, a := range e.Args {
+		var buf [2]sv
+		args := buf[:0]
+		for _, a := range e.Args {
 			v, err := ev.evalC(a)
 			if err != nil {
 				return sv{}, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
 		return ev.builtin(e.Name, args)
 	case *codegen.CRegRef:
@@ -900,7 +945,7 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 		}
 		return ev.regRead(e.Reg, e.Inst, cell.n, e.Width), nil
 	case *codegen.CFieldRef:
-		k, err := fieldKeyC(e)
+		k, err := ev.m.fieldKey(e)
 		if err != nil {
 			return sv{}, err
 		}
@@ -915,14 +960,19 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 	}
 }
 
-func fieldKeyC(e *codegen.CFieldRef) (string, error) {
+func (m *machine) fieldKey(e *codegen.CFieldRef) (string, error) {
+	if k, ok := m.fieldKeys[e]; ok {
+		return k, nil
+	}
 	if e.Elastic && e.Index < 0 {
 		return "", &obligErr{kind: "unsupported", detail: fmt.Sprintf("elastic field %s.%s emitted without an instance", e.Struct, e.Field)}
 	}
+	k := e.Struct + "." + e.Field
 	if e.Elastic {
-		return key(e.Struct+"."+e.Field, uint64(e.Index)), nil
+		k = key(k, uint64(e.Index))
 	}
-	return e.Struct + "." + e.Field, nil
+	m.fieldKeys[e] = k
+	return k, nil
 }
 
 func (ev *evalCtx) assignC(lhs codegen.CExpr, v sv) error {
@@ -935,7 +985,7 @@ func (ev *evalCtx) assignC(lhs codegen.CExpr, v sv) error {
 		ev.regWrite(e.Reg, e.Inst, cell.n, v.n, e.Width)
 		return nil
 	case *codegen.CFieldRef:
-		k, err := fieldKeyC(e)
+		k, err := ev.m.fieldKey(e)
 		if err != nil {
 			return err
 		}
@@ -1012,11 +1062,7 @@ func runEquivalence(m *machine, samples int) *equivResult {
 // runPath executes one source path and its target replay, returning
 // the path's failures (empty means the path's obligations discharged).
 func (m *machine) runPath() []failure {
-	m.assign = make(map[*node]bool)
-	m.taken = m.taken[:0]
-	stages := len(m.layout.Stages)
-	src := newPathState(stages)
-	tgt := newPathState(stages)
+	src, tgt := m.resetPath()
 	var fails []failure
 	if err := m.runSource(src); err != nil {
 		oe := err.(*obligErr)
@@ -1027,6 +1073,16 @@ func (m *machine) runPath() []failure {
 		return append(fails, failure{Kind: oe.kind, Detail: oe.detail})
 	}
 	return m.compare(src, tgt)
+}
+
+// resetPath clears the decisions and both sides' states for the next
+// path.
+func (m *machine) resetPath() (src, tgt *pathState) {
+	clear(m.assign)
+	m.taken = m.taken[:0]
+	m.src.reset()
+	m.tgt.reset()
+	return m.src, m.tgt
 }
 
 // compare discharges the per-path equivalence obligations.
@@ -1051,6 +1107,9 @@ func (m *machine) compare(src, tgt *pathState) []failure {
 }
 
 func compareMaps(kind string, a, b map[string]*node) []failure {
+	if sameNodes(a, b) {
+		return nil
+	}
 	var fails []failure
 	for _, k := range unionKeys(a, b) {
 		na, okA := a[k]
@@ -1068,6 +1127,9 @@ func compareMaps(kind string, a, b map[string]*node) []failure {
 }
 
 func (m *machine) compareRegs(src, tgt *pathState) []failure {
+	if !m.concrete && sameNodes(src.regs, tgt.regs) {
+		return nil
+	}
 	var fails []failure
 	seen := make(map[regKey]bool, len(src.regs)+len(tgt.regs))
 	var keys []regKey
@@ -1107,6 +1169,21 @@ func (m *machine) compareRegs(src, tgt *pathState) []failure {
 		}
 	}
 	return fails
+}
+
+// sameNodes reports whether a and b map the same keys to the same
+// nodes: the common, obligation-free outcome, checked before any
+// mismatch report is assembled.
+func sameNodes[K comparable](a, b map[K]*node) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, na := range a {
+		if nb, ok := b[k]; !ok || nb != na {
+			return false
+		}
+	}
+	return true
 }
 
 // concreteArr normalizes a concrete store chain: redundant stores of
@@ -1183,12 +1260,8 @@ func (m *machine) concreteSearch(samples int) string {
 	m.concrete = true
 	for trial := 1; trial <= samples; trial++ {
 		m.trial = uint64(trial)
-		m.assign = make(map[*node]bool)
-		m.taken = m.taken[:0]
 		m.script = nil
-		stages := len(m.layout.Stages)
-		src := newPathState(stages)
-		tgt := newPathState(stages)
+		src, tgt := m.resetPath()
 		if err := m.runSource(src); err != nil {
 			continue // unsupported constructs stay symbolic obligations
 		}

@@ -3,7 +3,7 @@ package tv
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"strconv"
 
 	"p4all/internal/lang"
 )
@@ -51,35 +51,97 @@ type node struct {
 
 func (n *node) isConst() bool { return n.kind == kConst }
 
-// symtab interns nodes.
-type symtab struct {
-	nodes map[string]*node
-	seq   int
+// nodeKey is a node's structural identity: every field that
+// distinguishes two nodes, with the arguments named by their ids (the
+// arguments are already interned, so equal ids mean equal subtrees).
+// The first three argument ids sit inline; a longer argument list
+// spells the rest out in tail. The argument count is part of the key,
+// so no name, value or tail can be mistaken for an extra argument.
+type nodeKey struct {
+	kind  nodeKind
+	nargs int32
+	op    lang.Kind
+	width int
+	val   uint64
+	name  string
+	args  [3]int32
+	tail  string
 }
+
+func keyOf(kind nodeKind, op lang.Kind, name string, val uint64, width int, args []*node) nodeKey {
+	k := nodeKey{kind: kind, nargs: int32(len(args)), op: op, width: width, val: val, name: name}
+	for i, a := range args {
+		if i == len(k.args) {
+			var b []byte
+			for _, a := range args[i:] {
+				b = strconv.AppendInt(append(b, '|'), int64(a.id), 10)
+			}
+			k.tail = string(b)
+			break
+		}
+		k.args[i] = int32(a.id)
+	}
+	return k
+}
+
+// symtab interns nodes. Ids are handed out in first-intern order, so a
+// run's node numbering depends only on the order of intern calls. New
+// nodes and their argument lists are carved from slabs: the table
+// lives exactly as long as one validation, and it retains every node.
+type symtab struct {
+	nodes  map[nodeKey]*node
+	consts map[uint64]*node // kConst nodes by value
+	arrs   map[regKey]*node // kArrial nodes by register instance
+	seq    int
+	slab   []node
+	argBuf []*node
+}
+
+const slabSize = 256
 
 func newSymtab() *symtab {
-	return &symtab{nodes: make(map[string]*node, 256)}
+	return &symtab{
+		nodes:  make(map[nodeKey]*node, 256),
+		consts: make(map[uint64]*node, 64),
+		arrs:   make(map[regKey]*node),
+	}
 }
 
-func (t *symtab) intern(n *node) *node {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%s|%d|%d", n.kind, n.op, n.name, n.val, n.width)
-	for _, a := range n.args {
-		fmt.Fprintf(&b, "|%d", a.id)
-	}
-	key := b.String()
-	if have, ok := t.nodes[key]; ok {
+// intern returns the table's node with the given fields, building it
+// only when it is new.
+func (t *symtab) intern(kind nodeKind, op lang.Kind, name string, val uint64, width int, args ...*node) *node {
+	k := keyOf(kind, op, name, val, width, args)
+	if have, ok := t.nodes[k]; ok {
 		return have
+	}
+	if len(t.slab) == 0 {
+		t.slab = make([]node, slabSize)
+	}
+	n := &t.slab[0]
+	t.slab = t.slab[1:]
+	n.kind, n.op, n.name, n.val, n.width = kind, op, name, val, width
+	if len(args) > 0 {
+		if len(t.argBuf) < len(args) {
+			t.argBuf = make([]*node, max(slabSize, len(args)))
+		}
+		n.args = t.argBuf[:len(args):len(args)]
+		t.argBuf = t.argBuf[len(args):]
+		copy(n.args, args)
 	}
 	n.id = t.seq
 	t.seq++
 	n.lo, n.hi = interval(n)
-	t.nodes[key] = n
+	t.nodes[k] = n
 	return n
 }
 
 func (t *symtab) constant(v uint64) *node {
-	return t.intern(&node{kind: kConst, val: v})
+	if n, ok := t.consts[v]; ok {
+		return n
+	}
+	n := t.intern(kConst, 0, "", v, 0)
+	t.consts[v] = n
+	return n
 }
 
 func (t *symtab) boolConst(b bool) *node {
@@ -91,7 +153,7 @@ func (t *symtab) boolConst(b bool) *node {
 
 // in returns the packet input variable for a header key.
 func (t *symtab) in(name string) *node {
-	return t.intern(&node{kind: kIn, name: name})
+	return t.intern(kIn, 0, name, 0, 0)
 }
 
 // widthMask and maskTo mirror internal/sim exactly.
@@ -133,7 +195,7 @@ func (t *symtab) mask(x *node, w int) *node {
 	if x.hi <= widthMask(w) {
 		return x
 	}
-	return t.intern(&node{kind: kMask, width: w, args: []*node{x}})
+	return t.intern(kMask, 0, "", 0, w, x)
 }
 
 // neg is the unary MINUS before masking.
@@ -141,7 +203,7 @@ func (t *symtab) neg(x *node) *node {
 	if x.isConst() {
 		return t.constant(-x.val)
 	}
-	return t.intern(&node{kind: kUn, op: lang.MINUS, args: []*node{x}})
+	return t.intern(kUn, lang.MINUS, "", 0, 0, x)
 }
 
 // not is the boolean negation (yields 0/1).
@@ -155,7 +217,7 @@ func (t *symtab) not(x *node) *node {
 	if x.hi == 0 {
 		return t.constant(1)
 	}
-	return t.intern(&node{kind: kUn, op: lang.NOT, args: []*node{x}})
+	return t.intern(kUn, lang.NOT, "", 0, 0, x)
 }
 
 // bin builds a raw (unmasked) binary node. The caller must rule out
@@ -187,7 +249,7 @@ func (t *symtab) bin(op lang.Kind, x, y *node) *node {
 			return t.boolConst(x.val != y.val)
 		}
 	}
-	n := t.intern(&node{kind: kBin, op: op, args: []*node{x, y}})
+	n := t.intern(kBin, op, "", 0, 0, x, y)
 	// Comparisons may still fold through the operand intervals.
 	if n.lo == n.hi {
 		return t.constant(n.lo)
@@ -225,17 +287,23 @@ func (t *symtab) call(name string, x, y *node) *node {
 			return t.constant(y.val)
 		}
 	}
-	return t.intern(&node{kind: kCall, name: name, args: []*node{x, y}})
+	return t.intern(kCall, 0, name, 0, 0, x, y)
 }
 
 // arrInit is the opaque initial contents of one register instance.
 func (t *symtab) arrInit(reg string, inst int64) *node {
-	return t.intern(&node{kind: kArrial, name: fmt.Sprintf("%s/%d", reg, inst)})
+	k := regKey{reg, inst}
+	if n, ok := t.arrs[k]; ok {
+		return n
+	}
+	n := t.intern(kArrial, 0, reg+"/"+strconv.FormatInt(inst, 10), 0, 0)
+	t.arrs[k] = n
+	return n
 }
 
 // store is a functional array update.
 func (t *symtab) store(arr, idx, val *node) *node {
-	return t.intern(&node{kind: kStore, args: []*node{arr, idx, val}})
+	return t.intern(kStore, 0, "", 0, 0, arr, idx, val)
 }
 
 // sel reads a cell, resolving through the store chain: an identical
@@ -259,7 +327,7 @@ func (t *symtab) sel(arr, idx *node, width int) *node {
 		}
 		break
 	}
-	return t.intern(&node{kind: kSelect, width: width, args: []*node{a, idx}})
+	return t.intern(kSelect, 0, "", 0, width, a, idx)
 }
 
 // wrapCell applies the simulator's cell wrap (cell % len(store)) —
@@ -309,6 +377,9 @@ func interval(n *node) (uint64, uint64) {
 		}
 		return full()
 	case kCall:
+		if len(n.args) != 2 {
+			return full()
+		}
 		x, y := n.args[0], n.args[1]
 		switch n.name {
 		case "min":
